@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     ResourceLimitError,
     ScaleError,
+    SettingError,
 )
 from .frobenius import (
     CensusEntry,
@@ -38,6 +39,7 @@ from .frobenius import (
     validate,
 )
 from .groups import (
+    CyclicPoset,
     CyclicSubgroup,
     Group,
     cyclic_subgroup,

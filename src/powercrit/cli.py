@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .errors import GroupSpecError, ResourceLimitError, ScaleError
+from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
 from .groups import max_materialize
 from .groupspec import parse_group_spec
 from .power_graph import PowerGraph, export_dot, export_json_graph
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (GroupSpecError, ValueError) as exc:
+    except (GroupSpecError, SettingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ScaleError, ResourceLimitError) as exc:
@@ -103,10 +103,11 @@ def cmd_analyze(args) -> int:
         doc = element_report(group, args.element, workers=workers)
         schema = ELEMENT_REPORT_SCHEMA
     else:
-        if group.order > max_materialize():
+        cap = max_materialize()
+        if group.order > cap:
             raise ScaleError(
                 f"full analysis needs materialized mode: order {group.order} exceeds "
-                f"threshold {max_materialize()}; use --element for per-element queries"
+                f"threshold {cap}; use --element for per-element queries"
             )
         graph = PowerGraph(group)
         doc = analyze_group(group, graph)
@@ -220,10 +221,11 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     group = parse_group_spec(args.spec)
-    if group.order > max_materialize():
+    cap = max_materialize()
+    if group.order > cap:
         raise ScaleError(
             f"graph export needs materialized mode: order {group.order} exceeds "
-            f"threshold {max_materialize()}"
+            f"threshold {cap}"
         )
     graph = PowerGraph(group)
     if args.format == "dot":

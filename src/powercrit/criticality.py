@@ -79,10 +79,9 @@ def classify_class(
         raise ValueError(f"{sorted(members)} is not a closed-twin class of {g.descriptor}")
     star = g.identity in members
 
-    distinct_subgroups: set[frozenset[int]] = set()
-    for m in members:
-        distinct_subgroups.add(g.members(m))
-    kind = "plain" if len(distinct_subgroups) == 1 else "compound"
+    # a twin class is a union of same-generator classes and holds rep's,
+    # so it spans one cyclic subgroup iff every member generates <rep>
+    kind = "plain" if members <= g.cyclic_generators(rep) else "compound"
 
     if star and not graph.materialized:
         # N[s] = G for every star vertex, so the closure of the star class
@@ -172,12 +171,8 @@ def classify_element(graph: PowerGraph, x: int) -> NClassRecord:
 
 
 def class_records(graph: PowerGraph) -> list[NClassRecord]:
-    """All twin-class records, in deterministic class order (cached)."""
-    cached = getattr(graph, "_class_records", None)
-    if cached is None:
-        records = [classify_class(graph, members) for members in graph.twin_partition().classes]
-        graph._class_records = cached = records
-    return cached
+    """All twin-class records, in deterministic class order (kept by the graph)."""
+    return [graph.class_record(cid, classify_class) for cid in range(len(graph.twin_partition().classes))]
 
 
 def classify_group(graph: PowerGraph) -> GroupKind:
@@ -194,12 +189,11 @@ def classify_group(graph: PowerGraph) -> GroupKind:
     if g.order == 1:
         return GroupKind(False, False, False)
     identity_only = frozenset({g.identity})
-    cached = getattr(graph, "_class_records", None)
     crit = plain = compound = True
-    for i, members in enumerate(graph.twin_partition().classes):
+    for cid, members in enumerate(graph.twin_partition().classes):
         if members == identity_only:
             continue
-        rec = cached[i] if cached is not None else classify_class(graph, members)
+        rec = graph.class_record(cid, classify_class)
         crit = crit and rec.is_critical
         plain = plain and rec.kind == "plain"
         compound = compound and rec.kind == "compound"

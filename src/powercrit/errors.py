@@ -9,6 +9,14 @@ class GroupSpecError(ValueError):
     """
 
 
+class SettingError(Exception):
+    """An environment variable the package reads holds a malformed value.
+
+    Not a ValueError, so the group-spec parser never mistakes it for a
+    bad spec.
+    """
+
+
 class ScaleError(RuntimeError):
     """An operation was asked to run above the scale its mode supports.
 

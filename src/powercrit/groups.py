@@ -18,6 +18,10 @@ reproducible bit for bit.  Backends:
 Scans over large groups work on backend "words" (permutation tuples, or
 plain indices where indices are already cheap) through the ``word_*``
 methods; the index API is what the materialized analyses use.
+
+At or below the materialization threshold every group answers its
+cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
+powers of each cyclic subgroup once rather than once per element.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError, ScaleError
+from .errors import ResourceLimitError, ScaleError, SettingError
 from .numtheory import factorize, is_prime
 
 __all__ = [
+    "CyclicPoset",
     "CyclicSubgroup",
     "Group",
     "CayleyTableGroup",
@@ -63,14 +68,25 @@ DEFAULT_MAX_MATERIALIZE = 4096
 
 def max_materialize() -> int:
     """Materialization threshold; override with POWERCRIT_MAX_MATERIALIZE."""
-    return int(os.environ.get("POWERCRIT_MAX_MATERIALIZE", DEFAULT_MAX_MATERIALIZE))
+    text = os.environ.get("POWERCRIT_MAX_MATERIALIZE")
+    if text is None:
+        return DEFAULT_MAX_MATERIALIZE
+    try:
+        return int(text)
+    except ValueError:
+        raise SettingError(
+            f"POWERCRIT_MAX_MATERIALIZE must be an integer, got {text!r}"
+        ) from None
 
 
 class Group(ABC):
     """Finite group on element indices 0 .. order-1, identity at index 0.
 
-    Queries are logically pure; the per-element power memo is write-once
-    idempotent, so instances can be shared freely across workers.
+    Queries are logically pure.  A group at or below the materialization
+    threshold (read once, at construction) answers ``element_order``,
+    ``powers``, ``members`` and ``cyclic_generators`` from its
+    :class:`CyclicPoset`, built on first use and kept; a larger group
+    walks the powers of the queried element on every call.
     """
 
     identity: int = 0
@@ -78,8 +94,8 @@ class Group(ABC):
     def __init__(self, order: int, descriptor: str):
         self.order = order
         self.descriptor = descriptor
-        self._powers_memo: dict[int, tuple[int, ...]] = {}
-        self._members_memo: dict[int, frozenset[int]] = {}
+        self._materialized = order <= max_materialize()
+        self._poset: CyclicPoset | None = None
 
     # -- index API ---------------------------------------------------------
 
@@ -103,33 +119,41 @@ class Group(ABC):
                 base = self.mul(base, base)
         return result
 
+    def cyclic_poset(self) -> CyclicPoset:
+        """The poset of cyclic subgroups, built on first call and kept."""
+        if self._poset is None:
+            self._poset = CyclicPoset(self)
+        return self._poset
+
+    def _materialized_poset(self) -> CyclicPoset | None:
+        return self.cyclic_poset() if self._materialized else None
+
     def element_order(self, a: int) -> int:
-        return len(self.powers(a))
+        poset = self._materialized_poset()
+        if poset is not None:
+            return len(poset.powers[poset.sub_of[a]])
+        return self.word_order(self.word_of(a))
 
     def powers(self, a: int) -> tuple[int, ...]:
         """(1, a, a^2, ...): the cyclic subgroup generated by a, in power order."""
-        got = self._powers_memo.get(a)
-        if got is None:
-            seq = [self.identity]
-            x = a
-            while x != self.identity:
-                seq.append(x)
-                x = self.mul(x, a)
-            got = self._powers_memo.setdefault(a, tuple(seq))
-        return got
+        poset = self._materialized_poset()
+        if poset is not None:
+            return poset.powers_of(a)
+        return tuple(self.index_of(w) for w in self.word_powers(self.word_of(a)))
 
     def members(self, a: int) -> frozenset[int]:
         """The cyclic subgroup generated by a, as a set of indices."""
-        got = self._members_memo.get(a)
-        if got is None:
-            got = self._members_memo.setdefault(a, frozenset(self.powers(a)))
-        return got
+        poset = self._materialized_poset()
+        if poset is not None:
+            return poset.members(poset.sub_of[a])
+        return frozenset(self.powers(a))
 
     def cyclic_generators(self, a: int) -> frozenset[int]:
         """All elements generating the same cyclic subgroup as a."""
-        pw = self.powers(a)
-        o = len(pw)
-        return frozenset(pw[k] for k in range(o) if math.gcd(k, o) == 1) if o > 1 else frozenset({self.identity})
+        poset = self._materialized_poset()
+        if poset is not None:
+            return poset.generators(poset.sub_of[a])
+        return _generators(self.powers(a))
 
     def element_label(self, a: int) -> str:
         return str(a)
@@ -165,6 +189,8 @@ class Group(ABC):
         return self.inv(u)
 
     def word_order(self, w) -> int:
+        # words are indices here; a backend that can exceed the threshold
+        # overrides this, since element_order falls back on it there
         return self.element_order(w)
 
     def word_pow(self, w, k: int):
@@ -180,7 +206,7 @@ class Group(ABC):
         return result
 
     def word_powers(self, w) -> list:
-        """Like :meth:`powers` but on words and unmemoized."""
+        """Like :meth:`powers` but on words, walked on every call."""
         e = self.word_of(self.identity)
         seq, x = [e], w
         while x != e:
@@ -410,16 +436,6 @@ class PermutationGroup(Group):
     def inv(self, a: int) -> int:
         return self.index_of(self.word_inv(self.word_of(a)))
 
-    def element_order(self, a: int) -> int:
-        return self.word_order(self.word_of(a))
-
-    def powers(self, a: int) -> tuple[int, ...]:
-        got = self._powers_memo.get(a)
-        if got is None:
-            ws = self.word_powers(self.word_of(a))
-            got = self._powers_memo.setdefault(a, tuple(self.index_of(w) for w in ws))
-        return got
-
     def is_cyclic(self) -> bool:
         return self.degree <= 2
 
@@ -594,9 +610,6 @@ class MetacyclicGroup(Group):
         i, j = divmod(u, self.qb)
         return (-self._rpow[j] * i) % self.pa * self.qb + (self.qb - j) % self.qb
 
-    def element_order(self, a: int) -> int:
-        return self.word_order(a)
-
     def word_order(self, w: int) -> int:
         i, j = divmod(w, self.qb)
         t = self.qb // math.gcd(j, self.qb) if j else 1
@@ -641,6 +654,87 @@ def make_metacyclic(p: int, a: int, q: int, b: int, r: int) -> MetacyclicGroup:
 # ---------------------------------------------------------------------------
 
 
+class CyclicPoset:
+    """The cyclic subgroups of a group, each built once, ordered by inclusion.
+
+    Walking the elements in index order, each element not yet seen
+    generates a new cyclic subgroup and is its least generator.  Subgroup
+    ids follow that walk: ``sub_of[a]`` is the id of <a>, ``least[s]`` the
+    least generator of s, ``powers[s]`` its powers (1, g, g^2, ...) and
+    ``exp_of[a]`` the k with a = g^k.  <g> of order o contains exactly one
+    subgroup of each order d dividing o, namely <g^(o/d)>, so containment
+    is read off each subgroup's powers at its divisor positions.
+
+    ``rows[s]`` is the closed power-graph neighbourhood shared by every
+    generator of s, as a bitmask: the members of s together with the
+    generators of every subgroup above it.  ``masks[s]`` holds the members
+    alone.  ``maxima`` lists the maximal subgroups by descending order,
+    then least generator.
+    """
+
+    def __init__(self, group: Group):
+        n = group.order
+        sub_of = [-1] * n
+        exp_of = [0] * n
+        least: list[int] = []
+        powers: list[tuple[int, ...]] = []
+        gen_masks: list[int] = []
+        for x in range(n):
+            if sub_of[x] >= 0:
+                continue
+            pw = tuple(group.index_of(w) for w in group.word_powers(group.word_of(x)))
+            units = _units(len(pw))
+            for k in units:
+                sub_of[pw[k]] = len(powers)
+                exp_of[pw[k]] = k
+            least.append(x)
+            powers.append(pw)
+            gen_masks.append(sum(1 << pw[k] for k in units))
+        masks = [sum(1 << i for i in pw) for pw in powers]
+        rows = list(masks)
+        maximal = [True] * len(powers)
+        for t, pw in enumerate(powers):
+            o = len(pw)
+            for k in range(2, o + 1):
+                if o % k == 0:
+                    below = sub_of[pw[k % o]]
+                    rows[below] |= gen_masks[t]
+                    maximal[below] = False
+        self.sub_of = sub_of
+        self.exp_of = exp_of
+        self.least = least
+        self.powers = powers
+        self.masks = masks
+        self.rows = rows
+        self.maxima = sorted(
+            (s for s, top in enumerate(maximal) if top),
+            key=lambda s: (-len(powers[s]), least[s]),
+        )
+        self._members: list[frozenset[int] | None] = [None] * len(powers)
+        self._generators: list[frozenset[int] | None] = [None] * len(powers)
+
+    def powers_of(self, a: int) -> tuple[int, ...]:
+        """(1, a, a^2, ...), re-indexed from the stored powers of <a>."""
+        pw = self.powers[self.sub_of[a]]
+        k = self.exp_of[a]
+        if k == 1:
+            return pw
+        o = len(pw)
+        return tuple(pw[j * k % o] for j in range(o))
+
+    def members(self, s: int) -> frozenset[int]:
+        got = self._members[s]
+        if got is None:
+            got = self._members[s] = frozenset(self.powers[s])
+        return got
+
+    def generators(self, s: int) -> frozenset[int]:
+        got = self._generators[s]
+        if got is None:
+            got = self._generators[s] = _generators(self.powers[s])
+        return got
+
+
 @dataclass(frozen=True)
 class CyclicSubgroup:
     """A cyclic subgroup: its least generator, order and member set."""
@@ -672,29 +766,21 @@ def is_power_of(group: Group, g: int, h: int) -> bool:
 
 
 def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
-    """All cyclic subgroups maximal under inclusion, deduplicated.
+    """All cyclic subgroups maximal under inclusion: the maxima of the poset.
 
     Sorted by descending order then least generator.  Every element of the
     group lies in at least one of them.
     """
-    cap = max_materialize()
-    if group.order > cap:
+    poset = group._materialized_poset()
+    if poset is None:
         raise ScaleError(
             f"maximal cyclic subgroup enumeration unsupported at order {group.order} "
-            f"(threshold {cap})"
+            f"(threshold {max_materialize()})"
         )
-    distinct: dict[frozenset[int], int] = {}
-    for g in range(group.order):
-        mem = group.members(g)
-        if mem not in distinct:
-            distinct[mem] = min(group.cyclic_generators(g))
-    subs = sorted(distinct, key=len, reverse=True)
-    maximal = []
-    for m in subs:
-        if not any(m < t for t in subs if len(t) > len(m)):
-            maximal.append(CyclicSubgroup(generator=distinct[m], order=len(m), members=m))
-    maximal.sort(key=lambda s: (-s.order, s.generator))
-    return maximal
+    return [
+        CyclicSubgroup(generator=poset.least[s], order=len(poset.powers[s]), members=poset.members(s))
+        for s in poset.maxima
+    ]
 
 
 def is_maximal_element(group: Group, x: int) -> bool:
@@ -704,8 +790,7 @@ def is_maximal_element(group: Group, x: int) -> bool:
     divisibility before the membership lift.
     """
     ox = group.element_order(x)
-    wx = group.word_of(x)
-    gens = _word_generators(group, wx, ox)
+    gens = _generators(group.word_powers(group.word_of(x)))
     for _, w in group.scan():
         ow = group.word_order(w)
         if ow > ox and ow % ox == 0 and group.word_pow(w, ow // ox) in gens:
@@ -713,11 +798,14 @@ def is_maximal_element(group: Group, x: int) -> bool:
     return True
 
 
-def _word_generators(group: Group, w, order: int) -> frozenset:
-    pw = group.word_powers(w)
-    if order == 1:
-        return frozenset(pw)
-    return frozenset(pw[k] for k in range(order) if math.gcd(k, order) == 1)
+def _units(o: int) -> list[int]:
+    """The exponents k < o with gcd(k, o) = 1; [0] for o = 1."""
+    return [k for k in range(o) if math.gcd(k, o) == 1]
+
+
+def _generators(pw) -> frozenset:
+    """The generators of a cyclic subgroup given as (1, g, g^2, ...)."""
+    return frozenset(pw[k] for k in _units(len(pw)))
 
 
 def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:

@@ -74,17 +74,24 @@ def component_profile(result: PartitionResult) -> list[ComponentInfo]:
 
 
 def cyclic_partition(group: Group) -> PartitionResult:
-    """Detect the cyclic partition of a group, or report an obstruction."""
+    """Detect the cyclic partition of a group, or report an obstruction.
+
+    The maximal cyclic subgroups cover the group, so they intersect
+    pairwise trivially iff their non-identity members add up to |G| - 1.
+    Only a failed count runs the pairwise scan, to name the first
+    overlapping pair and their least shared element.
+    """
     if group.order < 2:
         raise ValueError("partitions are defined for non-trivial groups")
     maxes = maximal_cyclic_subgroups(group)
-    for i in range(len(maxes)):
-        mi = maxes[i].members
-        for j in range(i + 1, len(maxes)):
-            shared = (mi & maxes[j].members) - {group.identity}
-            if shared:
-                return PartitionResult(None, (maxes[i], maxes[j], min(shared)))
-    return PartitionResult(tuple(maxes), None)
+    if sum(m.order - 1 for m in maxes) == group.order - 1:
+        return PartitionResult(tuple(maxes), None)
+    poset = group.cyclic_poset()
+    masks = [poset.masks[poset.sub_of[m.generator]] & ~(1 << group.identity) for m in maxes]
+    k = len(maxes)
+    i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if masks[i] & masks[j])
+    shared = masks[i] & masks[j]
+    return PartitionResult(None, (maxes[i], maxes[j], (shared & -shared).bit_length() - 1))
 
 
 def hughes_thompson(group: Group, p: int, within=None) -> frozenset[int]:
@@ -145,14 +152,18 @@ def _graph(group: Group, graph: PowerGraph | None) -> PowerGraph:
     return graph if graph is not None else PowerGraph(group)
 
 
+def _obstruction_text(group: Group, part: PartitionResult) -> str:
+    a, b, shared = part.obstruction
+    return (
+        f"no cyclic partition: subgroups of orders {a.order} and {b.order} share "
+        f"element {group.element_label(shared)}"
+    )
+
+
 def _partition_with_exponent_two(group: Group) -> tuple[PartitionResult | None, str]:
     part = cyclic_partition(group)
     if not part.is_partition:
-        a, b, shared = part.obstruction
-        return None, (
-            f"no cyclic partition: subgroups of orders {a.order} and {b.order} share "
-            f"element {group.element_label(shared)}"
-        )
+        return None, _obstruction_text(group, part)
     if part.is_trivial:
         return None, "only the trivial partition"
     for info in component_profile(part):
@@ -189,13 +200,7 @@ def check_plain_critical_maximal(group: Group, graph: PowerGraph | None = None) 
     """In a group with a cyclic partition, plain critical elements must be maximal."""
     part = cyclic_partition(group)
     if not part.is_partition:
-        a, b, shared = part.obstruction
-        return Verdict(
-            False,
-            None,
-            f"no cyclic partition: subgroups of orders {a.order} and {b.order} share "
-            f"element {group.element_label(shared)}",
-        )
+        return Verdict(False, None, _obstruction_text(group, part))
     graph = _graph(group, graph)
     for members in graph.twin_partition().classes:
         if members == frozenset({group.identity}):

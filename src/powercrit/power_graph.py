@@ -4,8 +4,11 @@ Two operating modes:
 
 * materialized (order <= the threshold): one Python-int bitmask per
   vertex, bit y of row x set iff y lies in the closed neighbourhood of x.
-  All the set algebra (common neighbourhoods, closures, star vertices,
-  twin classes) is then bitwise.
+  N[x] depends only on <x>, so the rows are read off the group's
+  cyclic-subgroup poset (:class:`~powercrit.groups.CyclicPoset`), one row
+  per cyclic subgroup shared by its generators; the same-generator
+  (diamond) partition is the poset's nodes.  All the set algebra (common
+  neighbourhoods, closures, star vertices, twin classes) is then bitwise.
 * lazy (any order): per-element queries answered by a single pass over
   the group working on backend words.  Adjacency against a fixed element
   x short-circuits on order divisibility and then costs one set lookup:
@@ -24,12 +27,7 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .groups import (
-    Group,
-    generated_subgroup_words,
-    max_materialize,
-    maximal_cyclic_subgroups,
-)
+from .groups import Group, generated_subgroup_words, max_materialize
 from .numtheory import as_prime_power, factorize
 
 PARALLEL_MIN_ORDER = 1 << 20
@@ -98,28 +96,17 @@ class PowerGraph:
         self._twin: TwinPartition | None = None
         self._diamond: TwinPartition | None = None
         self._fixed_cache: dict[int, _Fixed] = {}
+        self._class_records: dict[int, object] = {}
         if self.materialized:
-            self._build_rows()
+            poset = group.cyclic_poset()
+            self._rows = [poset.rows[s] for s in poset.sub_of]
+            self._full = (1 << group.order) - 1
 
     @property
     def mode(self) -> str:
         return "materialized" if self.materialized else "lazy"
 
     # -- construction -------------------------------------------------------
-
-    def _build_rows(self) -> None:
-        g = self.group
-        n = g.order
-        rows = [0] * n
-        for y in range(n):
-            bit_y = 1 << y
-            mask = 0
-            for x in g.powers(y):
-                mask |= 1 << x
-                rows[x] |= bit_y
-            rows[y] |= mask
-        self._rows = rows
-        self._full = (1 << n) - 1
 
     def _require_materialized(self, what: str):
         if not self.materialized:
@@ -289,11 +276,10 @@ class PowerGraph:
         """Partition into classes generating the same cyclic subgroup."""
         if self._diamond is None:
             self._require_materialized("diamond partition")
-            g = self.group
-            buckets: dict[frozenset[int], list[int]] = {}
-            for x in range(g.order):
-                buckets.setdefault(g.members(x), []).append(x)
-            self._diamond = _partition_from_buckets(buckets, g.order)
+            poset = self.group.cyclic_poset()
+            # subgroup ids follow the least generator, as class order must
+            classes = tuple(poset.generators(s) for s in range(len(poset.powers)))
+            self._diamond = TwinPartition(classes=classes, class_of=tuple(poset.sub_of))
         return self._diamond
 
     def element_n_class(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
@@ -360,18 +346,24 @@ class PowerGraph:
         """
         if self._erows is None:
             self._require_materialized("enhanced power graph rows")
-            n = self.group.order
-            erows = [0] * n
-            for sub in maximal_cyclic_subgroups(self.group):
-                mask = 0
-                for m in sub.members:
-                    mask |= 1 << m
-                for m in sub.members:
+            poset = self.group.cyclic_poset()
+            erows = [0] * self.group.order
+            for s in poset.maxima:
+                mask = poset.masks[s]
+                for m in poset.powers[s]:
                     erows[m] |= mask
             self._erows = erows
         return self._erows
 
     # -- derived queries -----------------------------------------------------------
+
+    def class_record(self, cid: int, classify):
+        """The record of twin class `cid`, computed by `classify(graph, members)`
+        on first request and kept with the graph."""
+        rec = self._class_records.get(cid)
+        if rec is None:
+            rec = self._class_records[cid] = classify(self, self.twin_partition().classes[cid])
+        return rec
 
     def strict_overgroups(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
         """Elements y whose cyclic subgroup strictly contains the one of x."""

@@ -251,10 +251,11 @@ def analyze_group(group: Group, graph: PowerGraph | None = None) -> dict:
     from .errors import ScaleError
     from .frobenius import recognize_critical_structure
 
-    if group.order > max_materialize():
+    cap = max_materialize()
+    if group.order > cap:
         raise ScaleError(
             f"full analysis needs materialized mode: order {group.order} exceeds "
-            f"threshold {max_materialize()}; use a per-element query instead"
+            f"threshold {cap}; use a per-element query instead"
         )
     graph = graph if graph is not None else PowerGraph(group)
     pi, is_eppo = exponent_and_pi(group)

@@ -9,6 +9,7 @@ command and the acceptance tests.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -77,7 +78,7 @@ def builtin_family(max_order: int) -> list[Group]:
     for n in range(2, min(60, max_order // 2) + 1):
         groups.append(make_dihedral(n))
     for k in range(2, 6):
-        if _factorial(k) <= max_order:
+        if math.factorial(k) <= max_order:
             groups.append(make_symmetric(k))
     for n in range(3, 6):
         if 2**n <= max_order:
@@ -89,13 +90,6 @@ def builtin_family(max_order: int) -> list[Group]:
         if p * p <= max_order:
             groups.append(make_direct_product(make_cyclic(p), make_cyclic(p)))
     return groups
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -173,3 +173,11 @@ def test_materialize_threshold_env(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["element_order"] == 25 and doc["is_critical"] is True
+
+
+def test_materialize_threshold_env_malformed(monkeypatch, capsys):
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "abc")
+    for argv in (["analyze", "D:5"], ["analyze", "S:8", "--element", "(1 2 3)"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: POWERCRIT_MAX_MATERIALIZE must be an integer, got 'abc'\n"
