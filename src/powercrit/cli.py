@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -49,7 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering of the power graph")
     p.add_argument("--element", metavar="DESC", help="single-element report (works at lazy scale)")
     p.add_argument("--stable", action="store_true", help="drop timing for golden-file comparison")
-    p.add_argument("--workers", type=int, default=0, help="worker processes for lazy scans (0 = all cores)")
+    # Lazy queries walk a centralizer instead of the whole group, so there
+    # is no scan left to spread over processes.  The flag is still accepted,
+    # and ignored, so that existing command lines keep working.
+    p.add_argument("--workers", type=int, default=0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("census", help="enumerate metacyclic parameter tuples")
@@ -97,10 +99,9 @@ def _dump(doc: dict) -> str:
 
 def cmd_analyze(args) -> int:
     group = parse_group_spec(args.spec)
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     started = time.perf_counter()
     if args.element is not None:
-        doc = element_report(group, args.element, workers=workers)
+        doc = element_report(group, args.element)
         schema = ELEMENT_REPORT_SCHEMA
     else:
         cap = max_materialize()

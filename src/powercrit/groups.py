@@ -17,7 +17,10 @@ reproducible bit for bit.  Backends:
 
 Scans over large groups work on backend "words" (permutation tuples, or
 plain indices where indices are already cheap) through the ``word_*``
-methods; the index API is what the materialized analyses use.
+methods; the index API is what the materialized analyses use.  Elements
+adjacent in the power graph commute, so per-element queries walk
+:meth:`Group.centralizer_words`, which the permutation and metacyclic
+backends enumerate directly instead of scanning the whole group.
 
 At or below the materialization threshold every group answers its
 cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
@@ -219,12 +222,10 @@ class Group(ABC):
         hi = self.order if hi is None else hi
         return ((i, i) for i in range(lo, hi))
 
-    def scan_blocks(self, target: int) -> list[tuple[int, int]]:
-        """Split [0, order) into roughly `target` contiguous rank ranges."""
-        n = self.order
-        target = max(1, min(target, n))
-        step = (n + target - 1) // target
-        return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    def centralizer_words(self, w) -> Iterable:
+        """The words of a set containing the centralizer C(w); by default
+        every word of the group."""
+        return (v for _, v in self.scan())
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +266,36 @@ def _table_dtype(n: int):
     return np.uint16 if n <= 0xFFFF else np.uint32
 
 
+def _sums_mod(n: int, dtype) -> np.ndarray:
+    """Read-only n x n view with entry (i, j) = (i + j) % n, in `dtype`.
+
+    Row i is the window [i, i + n) of 0..n-1 written twice, so no n x n
+    temporary is ever allocated.
+    """
+    idx = np.arange(n, dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n]
+
+
+def _rotation_reflection_table(m: int, twist: int, dtype) -> np.ndarray:
+    """Table on rotations 0..m-1 and reflections m..2m-1 with a^i b a^j b
+    = a^(i - j + twist): dihedral for twist 0, quaternion for twist m/2."""
+    sums = _sums_mod(m, dtype)
+    table = np.empty((2 * m, 2 * m), dtype=dtype)
+    table[:m, :m] = sums  # a^i a^j = a^(i + j)
+    table[:m, m:] = sums  # a^i a^j b = a^(i + j) b
+    table[:m, m:] += m
+    table[m:, :m] = sums[:, (-np.arange(m)) % m]  # a^i b a^j = a^(i - j) b
+    table[m:, :m] += m
+    table[m:, m:] = sums[:, (twist - np.arange(m)) % m]
+    return table
+
+
 def make_cyclic(n: int) -> CayleyTableGroup:
     """Cyclic group of order n; index i is the i-th power of the generator."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     _check_table_scale(n, "cyclic group")
-    idx = np.arange(n, dtype=np.int64)
-    table = ((idx[:, None] + idx[None, :]) % n).astype(_table_dtype(n))
+    table = np.array(_sums_mod(n, _table_dtype(n)), order="C")
     return CayleyTableGroup(table, f"C:{n}")
 
 
@@ -280,12 +304,7 @@ def make_dihedral(n: int) -> CayleyTableGroup:
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     _check_table_scale(2 * n, "dihedral group")
-    idx = np.arange(2 * n, dtype=np.int64)
-    r1, f1 = (idx % n)[:, None], (idx // n)[:, None]
-    r2, f2 = (idx % n)[None, :], (idx // n)[None, :]
-    rot = (r1 + (1 - 2 * f1) * r2) % n
-    table = ((f1 ^ f2) * n + rot).astype(_table_dtype(2 * n))
-    return CayleyTableGroup(table, f"D:{n}")
+    return CayleyTableGroup(_rotation_reflection_table(n, 0, _table_dtype(2 * n)), f"D:{n}")
 
 
 def make_generalized_quaternion(n: int) -> CayleyTableGroup:
@@ -299,11 +318,7 @@ def make_generalized_quaternion(n: int) -> CayleyTableGroup:
     order = 2**n
     _check_table_scale(order, "generalized quaternion group")
     m = order // 2
-    idx = np.arange(order, dtype=np.int64)
-    r1, f1 = (idx % m)[:, None], (idx // m)[:, None]
-    r2, f2 = (idx % m)[None, :], (idx // m)[None, :]
-    rot = (r1 + (1 - 2 * f1) * r2 + (f1 & f2) * (m // 2)) % m
-    table = ((f1 ^ f2) * m + rot).astype(_table_dtype(order))
+    table = _rotation_reflection_table(m, m // 2, _table_dtype(order))
     return CayleyTableGroup(table, f"Q:{n}")
 
 
@@ -311,22 +326,17 @@ def make_direct_product(g: Group, h: Group) -> CayleyTableGroup:
     """Direct product, element index (a, b) -> a * |H| + b."""
     order = g.order * h.order
     _check_table_scale(order, "direct product")
-    if isinstance(g, CayleyTableGroup) and isinstance(h, CayleyTableGroup):
-        ng, nh = g.order, h.order
-        tg = g._table.astype(np.int64)
-        th = h._table.astype(np.int64)
-        table = np.repeat(np.repeat(tg * nh, nh, axis=0), nh, axis=1) + np.tile(th, (ng, ng))
-    else:
-        nh = h.order
-        table = np.empty((order, order), dtype=np.int64)
-        for a1 in range(g.order):
-            for b1 in range(nh):
-                row = table[a1 * nh + b1]
-                for a2 in range(g.order):
-                    ga = g.mul(a1, a2) * nh
-                    for b2 in range(nh):
-                        row[a2 * nh + b2] = ga + h.mul(b1, b2)
-    table = table.astype(_table_dtype(order))
+    dtype = _table_dtype(order)
+    tg, th = (
+        f._table if isinstance(f, CayleyTableGroup)
+        else np.array([[f.mul(a, b) for b in range(f.order)] for a in range(f.order)], dtype=dtype)
+        for f in (g, h)
+    )
+    # entry ((a1, b1), (a2, b2)) = g[a1, a2] * |H| + h[b1, b2]
+    table = np.empty((order, order), dtype=dtype)
+    blocks = table.reshape(g.order, h.order, g.order, h.order)
+    blocks[...] = th[None, :, None, :]
+    blocks += (tg.astype(dtype) * h.order)[:, None, :, None]
     return CayleyTableGroup(table, f"{g.descriptor} x {h.descriptor}")
 
 
@@ -377,13 +387,13 @@ class PermutationGroup(Group):
         return word
 
     def index_of(self, w: tuple[int, ...]) -> int:
+        # digit i of the Lehmer code: the symbols below w[i] not yet used
         rank = 0
         k = self.degree
-        remaining = list(w)
+        used = 0
         for i, v in enumerate(w):
-            smaller = sum(1 for u in remaining if u < v)
-            rank += smaller * self._fact[k - 1 - i]
-            remaining.remove(v)
+            rank += (v - (used & ((1 << v) - 1)).bit_count()) * self._fact[k - 1 - i]
+            used |= 1 << v
         return rank
 
     # -- word operations ------------------------------------------------------
@@ -398,36 +408,32 @@ class PermutationGroup(Group):
             out[v] = i
         return tuple(out)
 
-    def word_order(self, w: tuple[int, ...]) -> int:
-        order = 1
-        seen = 0
-        for i in range(self.degree):
-            if not (seen >> i) & 1:
-                length = 1
-                j = w[i]
-                seen |= 1 << i
-                while j != i:
-                    seen |= 1 << j
-                    j = w[j]
-                    length += 1
-                order = order * length // math.gcd(order, length)
-        return order
-
-    def word_pow(self, w: tuple[int, ...], k: int) -> tuple[int, ...]:
-        out = [0] * self.degree
+    def _cycles(self, w: tuple[int, ...]) -> list[list[int]]:
+        """The cycles of w, fixed points included, each from its least point."""
+        out = []
         seen = 0
         for i in range(self.degree):
             if not (seen >> i) & 1:
                 cyc = [i]
+                seen |= 1 << i
                 j = w[i]
                 while j != i:
                     cyc.append(j)
+                    seen |= 1 << j
                     j = w[j]
-                length = len(cyc)
-                shift = k % length
-                for t, c in enumerate(cyc):
-                    seen |= 1 << c
-                    out[c] = cyc[(t + shift) % length]
+                out.append(cyc)
+        return out
+
+    def word_order(self, w: tuple[int, ...]) -> int:
+        return math.lcm(*map(len, self._cycles(w)))
+
+    def word_pow(self, w: tuple[int, ...], k: int) -> tuple[int, ...]:
+        out = [0] * self.degree
+        for cyc in self._cycles(w):
+            length = len(cyc)
+            shift = k % length
+            for t, c in enumerate(cyc):
+                out[c] = cyc[(t + shift) % length]
         return tuple(out)
 
     def mul(self, a: int, b: int) -> int:
@@ -442,37 +448,41 @@ class PermutationGroup(Group):
     # -- scanning -------------------------------------------------------------
 
     def scan(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
-        hi = self.order if hi is None else hi
-        if lo == 0 and hi == self.order:
-            return enumerate(itertools.permutations(range(self.degree)))
-        return self._scan_range(lo, hi)
+        ranked = enumerate(itertools.permutations(range(self.degree)))
+        return ranked if lo == 0 and hi is None else itertools.islice(ranked, lo, hi)
 
-    def _scan_range(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        k = self.degree
-        block = self._fact[k - 1]
-        for lead in range(k):
-            b_lo, b_hi = lead * block, (lead + 1) * block
-            if b_hi <= lo or b_lo >= hi:
-                continue
-            rest = [s for s in range(k) if s != lead]
-            tails = itertools.permutations(rest)
-            start, stop = max(lo, b_lo), min(hi, b_hi)
-            if start > b_lo:
-                tails = itertools.islice(tails, start - b_lo, None)
-            rank = start
-            for tail in tails:
-                if rank >= stop:
-                    break
-                yield rank, (lead,) + tail
-                rank += 1
+    def centralizer_words(self, w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Exactly C(w), the product over cycle lengths m of C_m wr S_{c_m}.
 
-    def scan_blocks(self, target: int) -> list[tuple[int, int]]:
-        # Blocks aligned to leading-symbol boundaries resume cheaply.
-        k = self.degree
-        if target <= 1 or k == 1:
-            return [(0, self.order)]
-        block = self._fact[k - 1]
-        return [(lead * block, (lead + 1) * block) for lead in range(k)]
+        A centralizing permutation carries point t of the m-cycle a of w
+        to point t + s_a of the m-cycle pi(a).  The m-cycles with m > 1
+        have at most 2^5 * 5! such arrangements, which are listed; the
+        fixed points, permuted freely, are streamed.
+        """
+        by_length: dict[int, list[list[int]]] = {}
+        for cyc in self._cycles(w):
+            by_length.setdefault(len(cyc), []).append(cyc)
+        fixed = [c[0] for c in by_length.pop(1, [])]
+        arrangements = [
+            [
+                tuple(p for c, s in zip(perm, shifts) for p in c[s:] + c[:s])
+                for perm in itertools.permutations(cycs)
+                for shifts in itertools.product(range(m), repeat=len(cycs))
+            ]
+            for m, cycs in by_length.items()
+        ]
+        # images come listed by source point: the moving cycles, then `fixed`
+        slot = [0] * self.degree
+        for pos, p in enumerate([p for cycs in by_length.values() for c in cycs for p in c] + fixed):
+            slot[p] = pos
+        images = (
+            head + tail
+            for head in (sum(parts, ()) for parts in itertools.product(*arrangements))
+            for tail in itertools.permutations(fixed)
+        )
+        if slot == list(range(self.degree)):
+            return images
+        return (tuple(map(im.__getitem__, slot)) for im in images)
 
     # -- cycle notation ---------------------------------------------------------
 
@@ -480,19 +490,7 @@ class PermutationGroup(Group):
         return self.word_label(self.word_of(a))
 
     def word_label(self, w: tuple[int, ...]) -> str:
-        cycles = []
-        seen = set()
-        for i in range(self.degree):
-            if i in seen or w[i] == i:
-                seen.add(i)
-                continue
-            cyc = [i]
-            j = w[i]
-            while j != i:
-                cyc.append(j)
-                j = w[j]
-            seen.update(cyc)
-            cycles.append(cyc)
+        cycles = [cyc for cyc in self._cycles(w) if len(cyc) > 1]
         if not cycles:
             return "()"
         return "".join("(" + " ".join(str(c + 1) for c in cyc) + ")" for cyc in cycles)
@@ -622,6 +620,27 @@ class MetacyclicGroup(Group):
             acc = acc * rj % self.pa
         c = i * s % self.pa
         return t * (self.pa // math.gcd(c, self.pa))
+
+    def centralizer_words(self, w: int) -> Iterator[int]:
+        """Exactly C(w), solving the commuting condition one j' at a time.
+
+        (i', j') commutes with (i, j) iff i (1 - r^-j') = i' (1 - r^-j)
+        (mod p^a): a linear congruence in i' with gcd(1 - r^-j, p^a)
+        solutions or none, so the cost is O(q^b + |C(w)|).
+        """
+        pa, qb = self.pa, self.qb
+        i, j = divmod(w, qb)
+        coef = (1 - self._act[j]) % pa
+        g = math.gcd(coef, pa)
+        step = pa // g
+        inv = pow(coef // g, -1, step)
+        for j2 in range(qb):
+            rhs = i * (1 - self._act[j2]) % pa
+            if rhs % g:
+                continue
+            i0 = rhs // g * inv % step
+            for i2 in range(i0, pa, step):
+                yield i2 * qb + j2
 
     def is_cyclic(self) -> bool:
         # r >= 2 with r^(q^b) = 1 (mod p^a) forces a non-trivial action.
@@ -786,12 +805,18 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
 def is_maximal_element(group: Group, x: int) -> bool:
     """True iff no element generates a strictly larger cyclic subgroup over x.
 
-    One scan over the group; each candidate is screened by order
-    divisibility before the membership lift.
+    Read off the poset maxima at or below the materialization threshold.
+    Otherwise one pass over C(x), which holds every cyclic overgroup of x;
+    each candidate is screened by order divisibility before the
+    membership lift.
     """
-    ox = group.element_order(x)
-    gens = _generators(group.word_powers(group.word_of(x)))
-    for _, w in group.scan():
+    poset = group._materialized_poset()
+    if poset is not None:
+        return poset.sub_of[x] in poset.maxima
+    wx = group.word_of(x)
+    pw = group.word_powers(wx)
+    ox, gens = len(pw), _generators(pw)
+    for w in group.centralizer_words(wx):
         ow = group.word_order(w)
         if ow > ox and ow % ox == 0 and group.word_pow(w, ow // ox) in gens:
             return False

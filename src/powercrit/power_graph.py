@@ -9,28 +9,28 @@ Two operating modes:
   per cyclic subgroup shared by its generators; the same-generator
   (diamond) partition is the poset's nodes.  All the set algebra (common
   neighbourhoods, closures, star vertices, twin classes) is then bitwise.
-* lazy (any order): per-element queries answered by a single pass over
-  the group working on backend words.  Adjacency against a fixed element
-  x short-circuits on order divisibility and then costs one set lookup:
-  either the scanned element lies among the powers of x, or its power
-  lifted to order(x) must be a generator of x's cyclic subgroup.
+* lazy (any order): per-element queries answered on backend words.
+  Adjacency against a fixed element x short-circuits on order
+  divisibility and then costs one set lookup: either the other element
+  lies among the powers of x, or its power lifted to order(x) must be a
+  generator of x's cyclic subgroup.
 
-Lazy scans can be partitioned across worker processes by rank ranges;
-partial results merge by union (neighbourhoods) or intersection
-(surviving twin-class candidates).
+Adjacent elements commute, so N[x], the twin class of x and the cyclic
+overgroups of x all lie inside the centralizer C(x).  Lazy queries pass
+over :meth:`~powercrit.groups.Group.centralizer_words` rather than the
+whole group: in S_11, C((1 2 3)(4 5 6 7 8)) has 90 elements out of
+39,916,800.  A backend without a centralizer enumeration falls back on
+one pass over the group.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 from .errors import ScaleError
 from .groups import Group, generated_subgroup_words, max_materialize
 from .numtheory import as_prime_power, factorize
-
-PARALLEL_MIN_ORDER = 1 << 20
 
 __all__ = [
     "PowerGraph",
@@ -43,11 +43,12 @@ __all__ = [
 class _Fixed:
     """Precomputed data for adjacency tests against one fixed element."""
 
-    __slots__ = ("order", "members", "gens")
+    __slots__ = ("word", "order", "members", "gens")
 
     def __init__(self, group: Group, w):
         pw = group.word_powers(w)
         o = len(pw)
+        self.word = w
         self.order = o
         self.members = frozenset(pw)
         if o == 1:
@@ -75,18 +76,16 @@ class TwinPartition:
 class PowerGraph:
     """Adjacency oracle for the power graph of a finite group.
 
-    Read-only after construction; safe to share across workers.
+    Logically read-only after construction; lazy queries memoize only.
     """
 
     def __init__(
         self,
         group: Group,
         materialize: bool | None = None,
-        workers: int = 1,
         enhanced_cap: int = 100_000,
     ):
         self.group = group
-        self.workers = max(1, workers)
         self.enhanced_cap = enhanced_cap
         if materialize is None:
             materialize = group.order <= max_materialize()
@@ -142,24 +141,19 @@ class PowerGraph:
     # -- neighbourhoods and closure ---------------------------------------------
 
     def closed_neighborhood(self, x: int) -> frozenset[int]:
-        """N[x]: x together with everything adjacent to it."""
+        """N[x]: x together with everything adjacent to it; lazily, one
+        pass over C(x)."""
         if self._rows is not None:
             return _bits_to_set(self._rows[x])
-        return frozenset(self._neighborhood_scan(x))
-
-    def _neighborhood_scan(self, x: int) -> list[int]:
         g = self.group
-        if self.workers > 1 and g.order >= PARALLEL_MIN_ORDER:
-            blocks = g.scan_blocks(self.workers * 4)
-            payloads = [(g.descriptor, x, lo, hi) for lo, hi in blocks]
-            out: list[int] = []
-            for part in self._pool_map(_neighborhood_block, payloads):
-                out.extend(part)
-            return out
-        return _neighborhood_block((g, x, 0, g.order))
+        fx = self._fixed(x)
+        return frozenset(map(g.index_of, self._common([fx], g.centralizer_words(fx.word))))
 
     def common_neighborhood(self, xs) -> frozenset[int]:
-        """Intersection of closed neighbourhoods; the whole group for empty input."""
+        """Intersection of closed neighbourhoods; the whole group for empty input.
+
+        Lazily, one pass over C(x0) for the x0 in xs of largest order.
+        """
         xs = frozenset(xs)
         if self._rows is not None:
             m = self._full
@@ -172,13 +166,8 @@ class PowerGraph:
                 "not representable in lazy mode"
             )
         g = self.group
-        fixed = [self._fixed(x) for x in xs]
-        out = []
-        for rank, w in g.scan():
-            ow = g.word_order(w)
-            if all(f.adjacent_or_equal(g, w, ow) for f in fixed):
-                out.append(rank)
-        return frozenset(out)
+        reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
+        return frozenset(map(g.index_of, self._common(reps, g.centralizer_words(reps[0].word))))
 
     def closure(self, xs, _candidates: frozenset[int] | None = None) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
@@ -186,7 +175,8 @@ class PowerGraph:
         This is a Moore closure: extensive, monotone and idempotent.  In
         lazy mode, whenever the input is pairwise adjacent (every twin
         class is), the whole computation happens inside N[x0] for any
-        x0 in xs, avoiding a second full scan.
+        x0 in xs; otherwise the closure lies in N[z0] for any z0 in the
+        common neighbourhood, and one pass over C(z0) finds it.
         """
         xs = frozenset(xs)
         if self._rows is not None:
@@ -203,35 +193,68 @@ class PowerGraph:
         if not xs:
             return self.star_vertices()
         g = self.group
-        fixed = {x: self._fixed(x) for x in xs}
+        reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
         pairwise = all(
-            fixed[x].adjacent_or_equal(g, g.word_of(y), fixed[y].order)
-            for x in xs
-            for y in xs
-            if x < y
+            a.adjacent_or_equal(g, b.word, b.order) for i, a in enumerate(reps) for b in reps[i + 1 :]
         )
         if pairwise:
+            # xs lies in its own common neighbourhood, so the closure does too
             cands = _candidates if _candidates is not None else self.closed_neighborhood(min(xs))
-            cand_fixed = [(c, self._fixed(c)) for c in sorted(cands)]
-            in_x = [
-                (c, fc)
-                for c, fc in cand_fixed
-                if all(f.adjacent_or_equal(g, g.word_of(c), fc.order) for f in fixed.values())
-            ]
-            hat = [
-                c
-                for c, fc in cand_fixed
-                if all(f.adjacent_or_equal(g, g.word_of(c), fc.order) for _, f in in_x)
-            ]
-            return frozenset(hat)
-        nx = self.common_neighborhood(xs)
-        fixed_nx = [self._fixed(z) for z in nx]
+            common = self._common(reps, map(g.word_of, sorted(cands)))
+            return frozenset(map(g.index_of, self._universal(common)))
+        common = self._common(reps, g.centralizer_words(reps[0].word))
+        e = g.word_of(g.identity)
+        z0 = next((w for w in common if w != e), e)
+        hat = self._common(self._subgroup_reps(common), g.centralizer_words(z0))
+        return frozenset(map(g.index_of, hat))
+
+    def _subgroup_reps(self, words) -> list[_Fixed]:
+        """One fixed element per cyclic subgroup the words generate, the
+        largest subgroups first."""
+        g = self.group
+        reps: list[_Fixed] = []
+        covered: set = set()
+        for w in words:
+            if w not in covered:
+                f = _Fixed(g, w)
+                covered |= f.gens
+                reps.append(f)
+        reps.sort(key=lambda f: -f.order)
+        return reps
+
+    def _common(self, reps: list[_Fixed], words) -> list:
+        """The words adjacent or equal to every fixed element in `reps`."""
+        g = self.group
         out = []
-        for rank, w in g.scan():
+        for w in words:
             ow = g.word_order(w)
-            if all(f.adjacent_or_equal(g, w, ow) for f in fixed_nx):
-                out.append(rank)
-        return frozenset(out)
+            if all(f.adjacent_or_equal(g, w, ow) for f in reps):
+                out.append(w)
+        return out
+
+    def _universal(self, words: list) -> list:
+        """The words adjacent or equal to every word in `words`.
+
+        Adjacent elements have comparable orders, so a word whose order is
+        incomparable with another word's is dropped untested; the rest are
+        tested once per cyclic subgroup.
+        """
+        g = self.group
+        orders = [g.word_order(w) for w in words]
+        distinct = set(orders)
+        verdicts: dict = {}
+        out = []
+        for w, o in zip(words, orders):
+            if any(o % d and d % o for d in distinct):
+                continue
+            ok = verdicts.get(w)
+            if ok is None:
+                f = _Fixed(g, w)
+                ok = all(f.adjacent_or_equal(g, v, ov) for v, ov in zip(words, orders))
+                verdicts.update(dict.fromkeys(f.gens, ok))
+            if ok:
+                out.append(w)
+        return out
 
     # -- star vertices -----------------------------------------------------------
 
@@ -283,13 +306,16 @@ class PowerGraph:
         return self._diamond
 
     def element_n_class(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
-        """The closed-twin class of x, computed with one filtering pass.
+        """The closed-twin class of x.
 
-        Candidates start as N[x]; scanning z through the group discards
-        any candidate whose adjacency-or-equality to z differs from x's.
-        Candidates generating the same cyclic subgroup as x have the same
-        closed neighbourhood and can never be discarded, so the scan stops
-        once every other candidate is gone.
+        N[c] depends only on <c>.  A twin c of x lies in N[x], so <c> and
+        <x> are comparable.  Every generator of <x> is a twin, and the
+        identity is one iff N[x] is the whole group.  Any other twin needs
+        every power of the larger of c and x adjacent to the smaller, which
+        in a cyclic group forces o(c) and o(x) to be powers of one prime
+        p.  Those candidates are tested one per cyclic subgroup in a single
+        pass: an element separating c from x lies in C(x) or C(c), so in
+        C(x0) for x0 generating the least non-trivial subgroup of <x>.
         """
         if self._rows is not None:
             return self.twin_partition().class_containing(x)
@@ -298,31 +324,27 @@ class PowerGraph:
             return self.star_vertices()
         nb = _neighborhood if _neighborhood is not None else self.closed_neighborhood(x)
         fx = self._fixed(x)
-        diamonds: list[int] = []
-        others: list[tuple[int, _Fixed]] = []
-        for c in sorted(nb):
-            fc = self._fixed(c)
-            if fc.members == fx.members:
-                diamonds.append(c)
-            else:
-                others.append((c, fc))
-        if others:
-            survivors = self._nclass_filter(x, fx, others)
-        else:
-            survivors = []
-        return frozenset(diamonds) | frozenset(survivors)
-
-    def _nclass_filter(self, x: int, fx: _Fixed, others: list[tuple[int, _Fixed]]) -> list[int]:
-        g = self.group
-        if self.workers > 1 and g.order >= PARALLEL_MIN_ORDER:
-            blocks = g.scan_blocks(self.workers * 4)
-            ranks = tuple(c for c, _ in others)
-            payloads = [(g.descriptor, x, ranks, lo, hi) for lo, hi in blocks]
-            alive: set[int] = set(ranks)
-            for part in self._pool_map(_nclass_block, payloads):
-                alive &= set(part)
-            return sorted(alive)
-        return _nclass_block((g, x, others, 0, g.order))
+        twins = set(fx.gens)
+        if len(nb) == g.order:
+            twins.add(g.word_of(g.identity))
+        pp = as_prime_power(fx.order)
+        if pp is not None:
+            below = [_Fixed(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
+            above = [
+                w
+                for w in map(g.word_of, nb)
+                if (ow := g.word_order(w)) > fx.order and (q := as_prime_power(ow)) is not None and q.p == pp.p
+            ]
+            live = below + self._subgroup_reps(above)
+            for w in g.centralizer_words((below[-1] if below else fx).word):
+                if not live:
+                    break
+                ow = g.word_order(w)
+                ax = fx.adjacent_or_equal(g, w, ow)
+                live = [f for f in live if f.adjacent_or_equal(g, w, ow) == ax]
+            for f in live:
+                twins |= f.gens
+        return frozenset(map(g.index_of, twins))
 
     # -- enhanced power graph ----------------------------------------------------
 
@@ -371,75 +393,6 @@ class PowerGraph:
         g = self.group
         ox = g.element_order(x)
         return frozenset(y for y in nb if g.element_order(y) > ox)
-
-    # -- plumbing ------------------------------------------------------------------
-
-    def _pool_map(self, fn, payloads):
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(self.workers) as pool:
-            return pool.map(fn, payloads)
-
-
-# -- scan kernels (top level so worker processes can import them) -------------
-
-
-def _rebuild(group_or_descriptor) -> Group:
-    if isinstance(group_or_descriptor, Group):
-        return group_or_descriptor
-    from .groupspec import parse_group_spec
-
-    return parse_group_spec(group_or_descriptor)
-
-
-def _neighborhood_block(args) -> list[int]:
-    group, x, lo, hi = args
-    g = _rebuild(group)
-    fx = _Fixed(g, g.word_of(x))
-    ox, members, gens = fx.order, fx.members, fx.gens
-    word_order, word_pow = g.word_order, g.word_pow
-    out = []
-    for rank, w in g.scan(lo, hi):
-        ow = word_order(w)
-        if ow <= ox:
-            if ox % ow == 0 and w in members:
-                out.append(rank)
-        elif ow % ox == 0 and word_pow(w, ow // ox) in gens:
-            out.append(rank)
-    return out
-
-
-def _nclass_block(args) -> list[int]:
-    group, x, others, lo, hi = args
-    g = _rebuild(group)
-    fx = _Fixed(g, g.word_of(x))
-    if others and isinstance(others[0], int):
-        live = [(c, _Fixed(g, g.word_of(c))) for c in others]
-    else:
-        live = list(others)
-    word_order, word_pow = g.word_order, g.word_pow
-    ox, mem_x, gens_x = fx.order, fx.members, fx.gens
-    for _, w in g.scan(lo, hi):
-        ow = word_order(w)
-        if ow <= ox:
-            ax = ox % ow == 0 and w in mem_x
-        else:
-            ax = ow % ox == 0 and word_pow(w, ow // ox) in gens_x
-        kill = None
-        for idx, (_, fy) in enumerate(live):
-            oy = fy.order
-            if ow <= oy:
-                ay = oy % ow == 0 and w in fy.members
-            else:
-                ay = ow % oy == 0 and word_pow(w, ow // oy) in fy.gens
-            if ay != ax:
-                if kill is None:
-                    kill = set()
-                kill.add(idx)
-        if kill:
-            live = [item for i, item in enumerate(live) if i not in kill]
-            if not live:
-                break
-    return [c for c, _ in live]
 
 
 def _partition_from_buckets(buckets: dict, order: int) -> TwinPartition:

@@ -327,10 +327,10 @@ def analyze_group(group: Group, graph: PowerGraph | None = None) -> dict:
     }
 
 
-def element_report(group: Group, element: int | str, workers: int = 1) -> dict:
+def element_report(group: Group, element: int | str) -> dict:
     """Single-element report; runs at lazy scale."""
     x = group.parse_element(element) if isinstance(element, str) else element
-    graph = PowerGraph(group, workers=workers)
+    graph = PowerGraph(group)
     rec = classify_element(graph, x)
     return {
         "group": group.descriptor,

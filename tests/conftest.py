@@ -7,6 +7,10 @@ production shortcuts (order divisibility, bitset rows, generator lifts).
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 from powercrit import CyclicSubgroup, Group
 
 
@@ -95,3 +99,77 @@ def brute_cyclic_partition(group: Group):
             if shared:
                 return None, (maxes[i], maxes[j], min(shared))
     return tuple(maxes), None
+
+
+@functools.lru_cache(maxsize=2)
+def product_table(group: Group) -> np.ndarray:
+    """Every product mul(x, y), as a table; kept for the last two groups."""
+    n = group.order
+    return np.array([[group.mul(x, y) for y in range(n)] for x in range(n)])
+
+
+def brute_centralizer(group: Group, x: int) -> frozenset[int]:
+    """C(x) straight from the definition: every y with xy = yx."""
+    table = product_table(group)
+    return frozenset(np.flatnonzero(table[x] == table[:, x]).tolist())
+
+
+def integer_partitions(n: int, largest: int | None = None):
+    """The partitions of n as non-increasing tuples: the cycle types of S_n."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for m in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - m, m):
+            yield (m,) + rest
+
+
+def cycle_type_element(group, parts) -> int:
+    """An element of S_k with the given cycle lengths, on points 1, 2, ... in order."""
+    points = iter(range(1, group.degree + 1))
+    return group.parse_element(
+        "".join("(" + " ".join(str(next(points)) for _ in range(m)) + ")" for m in parts)
+    )
+
+
+# -- Cayley tables from the int64 formulas ------------------------------------
+#
+# Each oracle gives the product of element index arrays a and b (broadcast
+# against each other) from the defining formula, in int64, where nothing
+# can wrap.
+
+
+def int64_cyclic(n: int, a, b):
+    return (a + b) % n
+
+
+def int64_dihedral(n: int, a, b):
+    r1, f1, r2, f2 = a % n, a // n, b % n, b // n
+    rot = (r1 + (1 - 2 * f1) * r2) % n
+    return (f1 ^ f2) * n + rot
+
+
+def int64_quaternion(n: int, a, b):
+    m = 2 ** (n - 1)
+    r1, f1, r2, f2 = a % m, a // m, b % m, b // m
+    rot = (r1 + (1 - 2 * f1) * r2 + (f1 & f2) * (m // 2)) % m
+    return (f1 ^ f2) * m + rot
+
+
+def int64_direct_product(g_table, h_table, a, b):
+    nh = h_table.shape[0]
+    tg, th = g_table.astype(np.int64), h_table.astype(np.int64)
+    return tg[a // nh, b // nh] * nh + th[a % nh, b % nh]
+
+
+def assert_table_matches(table, oracle, rows_per_chunk: int = 256) -> None:
+    """Compare a Cayley table with an int64 oracle, a block of rows at a
+    time so that the oracle never holds a whole table."""
+    n = table.shape[0]
+    assert table.shape == (n, n)
+    assert table.dtype == (np.uint16 if n <= 0xFFFF else np.uint32)
+    cols = np.arange(n, dtype=np.int64)[None, :]
+    for lo in range(0, n, rows_per_chunk):
+        rows = np.arange(lo, min(lo + rows_per_chunk, n), dtype=np.int64)[:, None]
+        assert np.array_equal(table[lo : lo + rows_per_chunk], oracle(rows, cols)), f"rows from {lo}"

@@ -1,13 +1,7 @@
-"""Acceptance criteria, one test per criterion, at their stated budgets.
-
-Criterion 5 (the full S_11 sweep) is slow and opt-in: set
-POWERCRIT_RUN_SLOW=1 to include it.
-"""
+"""Acceptance criteria, one test per criterion, at their stated budgets."""
 
 import os
 import time
-
-import pytest
 
 from powercrit import (
     PowerGraph,
@@ -27,8 +21,6 @@ from powercrit import (
 )
 from powercrit.criticality import classify_class
 from powercrit.verify import builtin_family, run_suites
-
-RUN_SLOW = bool(os.environ.get("POWERCRIT_RUN_SLOW"))
 
 
 def finish(criterion: str, started: float, budget_s: float) -> None:
@@ -116,13 +108,11 @@ def test_criterion_4_s8_stretch():
     finish("criterion 4: S_8 stretch test", started, 60.0)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not RUN_SLOW, reason="S_11 sweep is slow; set POWERCRIT_RUN_SLOW=1")
 def test_criterion_5_s11_example():
     started = time.perf_counter()
     workers = min(8, os.cpu_count() or 1)
     s11 = make_symmetric(11)
-    graph = PowerGraph(s11, workers=workers)
+    graph = PowerGraph(s11)
     sigma = s11.parse_element("(1 2 3)(4 5 6 7 8)")
 
     neighborhood = graph.closed_neighborhood(sigma)

@@ -63,6 +63,17 @@ def test_analyze_element_lazy_scale(capsys):
     assert doc["is_maximal"] is True and doc["element_order"] == 15
 
 
+def test_analyze_workers_flag_is_accepted_and_ignored(capsys):
+    argv = ["analyze", "S:8", "--element", "(1 2 3 4 5 6 7 8)", "--json", "--stable"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    for workers in ("1", "4"):
+        code, out, _ = run(capsys, *argv, "--workers", workers)
+        assert code == 0 and out == plain
+    code, out, _ = run(capsys, "analyze", "--help")
+    assert "--workers" not in out
+
+
 def test_analyze_byte_identical_stable(capsys):
     _, first, _ = run(capsys, "analyze", "Q:3", "--json", "--stable")
     _, second, _ = run(capsys, "analyze", "Q:3", "--json", "--stable")

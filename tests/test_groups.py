@@ -4,6 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    assert_table_matches,
+    int64_cyclic,
+    int64_dihedral,
+    int64_direct_product,
+    int64_quaternion,
+    product_table,
+)
 from powercrit import (
     ScaleError,
     cyclic_subgroup,
@@ -52,6 +60,45 @@ def test_constructor_orders():
     assert make_cyclic(1).order == 1
     assert make_generalized_quaternion(3).order == 8
     assert make_direct_product(make_cyclic(2), make_cyclic(3)).order == 6
+
+
+# -- Cayley tables against the int64 formulas ---------------------------------------
+
+
+def _product_oracle(g, h):
+    tg, th = (f._table if hasattr(f, "_table") else product_table(f) for f in (g, h))
+    return lambda a, b: int64_direct_product(tg, th, a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 97, 256])
+def test_cyclic_and_dihedral_tables_match_int64_formulas(n):
+    assert_table_matches(make_cyclic(n)._table, lambda a, b: int64_cyclic(n, a, b))
+    assert_table_matches(make_dihedral(n)._table, lambda a, b: int64_dihedral(n, a, b))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_quaternion_tables_match_int64_formulas(n):
+    assert_table_matches(make_generalized_quaternion(n)._table, lambda a, b: int64_quaternion(n, a, b))
+
+
+def test_product_tables_match_int64_formulas():
+    m6 = make_metacyclic(3, 1, 2, 1, 2)
+    for g, h in (
+        (make_cyclic(3), make_dihedral(4)),
+        (make_generalized_quaternion(3), make_cyclic(5)),
+        (make_dihedral(3), make_dihedral(5)),
+        (make_cyclic(2), m6),  # a factor without a table of its own
+        (m6, make_cyclic(4)),
+    ):
+        assert_table_matches(make_direct_product(g, h)._table, _product_oracle(g, h))
+
+
+def test_tables_at_order_4096_match_int64_formulas():
+    assert_table_matches(make_cyclic(4096)._table, lambda a, b: int64_cyclic(4096, a, b))
+    assert_table_matches(make_dihedral(2048)._table, lambda a, b: int64_dihedral(2048, a, b))
+    assert_table_matches(make_generalized_quaternion(12)._table, lambda a, b: int64_quaternion(12, a, b))
+    for g, h in ((make_cyclic(64), make_cyclic(64)), (make_cyclic(2), make_dihedral(1024))):
+        assert_table_matches(make_direct_product(g, h)._table, _product_oracle(g, h))
 
 
 def test_constructor_bounds():
@@ -179,8 +226,6 @@ def test_scan_matches_ranks():
     part = list(s5.scan(30, 75))
     assert [r for r, _ in part] == list(range(30, 75))
     assert all(s5.index_of(w) == r for r, w in part)
-    blocks = s5.scan_blocks(4)
-    assert blocks[0][0] == 0 and blocks[-1][1] == 120
 
 
 # -- cyclic subgroup machinery ------------------------------------------------------

@@ -7,11 +7,15 @@ from conftest import (
     brute_closed_neighborhood,
     brute_edge_count,
     brute_twin_class,
+    cycle_type_element,
+    integer_partitions,
 )
 from powercrit import (
     PowerGraph,
     ScaleError,
+    classify_element,
     euler_phi,
+    is_maximal_element,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -193,6 +197,10 @@ def test_element_n_class_lazy_s8():
     assert cls == s8.cyclic_generators(sigma)
     assert len(cls) == 8
     assert pg.element_n_class(s8.identity) == frozenset({s8.identity})
+    # octo^4 = (1 5)(2 6)(3 7)(4 8) is separated from octo only outside
+    # C(octo), e.g. by (1 2 5 6)(3 4 7 8), whose square it is
+    octo = s8.parse_element("(1 2 3 4 5 6 7 8)")
+    assert pg.element_n_class(octo) == s8.cyclic_generators(octo)
 
 
 def test_element_n_class_identity_is_star_set():
@@ -222,16 +230,19 @@ def test_lazy_adjacency_matches_brute_force():
     assert not lazy.adjacent(3, 3)
 
 
-def test_parallel_scan_matches_serial(monkeypatch):
-    import powercrit.power_graph as pgmod
-
-    monkeypatch.setattr(pgmod, "PARALLEL_MIN_ORDER", 1000)
+def test_lazy_matches_materialized_s7_cycle_types():
+    # one element per cycle type; the lazy graph walks centralizers, the
+    # materialized one reads the poset of all 5040 elements
     s7 = make_symmetric(7)
-    serial = PowerGraph(s7, materialize=False, workers=1)
-    parallel = PowerGraph(s7, materialize=False, workers=2)
-    sigma = s7.parse_element("(1 2 3)(4 5 6 7)")
-    assert parallel.closed_neighborhood(sigma) == serial.closed_neighborhood(sigma)
-    assert parallel.element_n_class(sigma) == serial.element_n_class(sigma)
+    mat = PowerGraph(s7, materialize=True)
+    lazy = PowerGraph(s7, materialize=False)
+    for parts in integer_partitions(7):
+        x = cycle_type_element(s7, parts)
+        assert lazy.closed_neighborhood(x) == mat.closed_neighborhood(x), parts
+        assert lazy.element_n_class(x) == mat.element_n_class(x), parts
+        assert classify_element(lazy, x) == classify_element(mat, x), parts
+        assert lazy.strict_overgroups(x) == mat.strict_overgroups(x), parts
+        assert is_maximal_element(s7, x) == (not mat.strict_overgroups(x)), parts
 
 
 # -- enhanced power graph ---------------------------------------------------------------
