@@ -253,13 +253,17 @@ class CayleyTableGroup(Group):
         return int(self._inv[a])
 
 
+def _scale_error(what: str, order, cap: int) -> ScaleError:
+    return ScaleError(
+        f"{what} of order {order} exceeds the materialization threshold {cap} "
+        "(raise POWERCRIT_MAX_MATERIALIZE to override)"
+    )
+
+
 def _check_table_scale(order: int, what: str) -> None:
     cap = max_materialize()
     if order > cap:
-        raise ScaleError(
-            f"{what} of order {order} exceeds the materialization threshold {cap} "
-            "(raise POWERCRIT_MAX_MATERIALIZE to override)"
-        )
+        raise _scale_error(what, order, cap)
 
 
 def _table_dtype(n: int):
@@ -315,8 +319,12 @@ def make_generalized_quaternion(n: int) -> CayleyTableGroup:
     """
     if n < 3:
         raise ValueError(f"generalized quaternion parameter must be >= 3, got {n}")
+    # 2**n > cap iff n >= cap.bit_length() (cap >= 0), decided before 2**n
+    # is computed: for n near 10**12 that power never finishes
+    cap = max_materialize()
+    if n >= max(cap, 0).bit_length():
+        raise _scale_error("generalized quaternion group", f"2^{n}", cap)
     order = 2**n
-    _check_table_scale(order, "generalized quaternion group")
     m = order // 2
     table = _rotation_reflection_table(m, m // 2, _table_dtype(order))
     return CayleyTableGroup(table, f"Q:{n}")
@@ -578,10 +586,16 @@ class MetacyclicGroup(Group):
         super().__init__(pa * qb, f"M:{p},{a},{q},{b},{r}")
         self.p, self.a, self.q, self.b, self.r = p, a, q, b, r
         self.pa, self.qb = pa, qb
-        self._rpow = [pow(r, j, pa) for j in range(qb)]
+        # r^j depends only on j mod ord(r), a power of q dividing p - 1, so
+        # one period is stored however large q^b is
+        k, rk = 1, r
+        while rk != 1:
+            k, rk = k * q, pow(rk, q, pa)
+        self._k = k
+        self._rpow = [pow(r, j, pa) for j in range(k)]
         # conjugation acts as y^-1 x y = x^r, so commuting y^j past x^i
-        # twists by r^(-j) = r^(q^b - j)
-        self._act = [self._rpow[(qb - j) % qb] for j in range(qb)]
+        # twists by r^(-j) = r^(k - j)
+        self._act = [self._rpow[-j % k] for j in range(k)]
 
     @property
     def x(self) -> int:
@@ -602,23 +616,24 @@ class MetacyclicGroup(Group):
     def mul(self, u: int, v: int) -> int:
         i1, j1 = divmod(u, self.qb)
         i2, j2 = divmod(v, self.qb)
-        return ((i1 + self._act[j1] * i2) % self.pa) * self.qb + (j1 + j2) % self.qb
+        return ((i1 + self._act[j1 % self._k] * i2) % self.pa) * self.qb + (j1 + j2) % self.qb
 
     def inv(self, u: int) -> int:
         i, j = divmod(u, self.qb)
-        return (-self._rpow[j] * i) % self.pa * self.qb + (self.qb - j) % self.qb
+        return (-self._rpow[j % self._k] * i) % self.pa * self.qb + (self.qb - j) % self.qb
 
     def word_order(self, w: int) -> int:
         i, j = divmod(w, self.qb)
         t = self.qb // math.gcd(j, self.qb) if j else 1
-        # (i, j)^t = (i * (1 + r^-j + ... + r^(-j(t-1))), 0)
-        s = 0
-        rj = self._act[j]
-        acc = 1
-        for _ in range(t):
-            s = (s + acc) % self.pa
+        # (i, j)^t = (i * (1 + r^-j + ... + r^(-j(t-1))), 0); the terms
+        # repeat with period ord(r^-j), which divides t, so one period is summed
+        rj = self._act[j % self._k]
+        s, acc, period = 1, rj, 1
+        while acc != 1:
+            s += acc
             acc = acc * rj % self.pa
-        c = i * s % self.pa
+            period += 1
+        c = i * s * (t // period) % self.pa
         return t * (self.pa // math.gcd(c, self.pa))
 
     def centralizer_words(self, w: int) -> Iterator[int]:
@@ -630,12 +645,12 @@ class MetacyclicGroup(Group):
         """
         pa, qb = self.pa, self.qb
         i, j = divmod(w, qb)
-        coef = (1 - self._act[j]) % pa
+        coef = (1 - self._act[j % self._k]) % pa
         g = math.gcd(coef, pa)
         step = pa // g
         inv = pow(coef // g, -1, step)
         for j2 in range(qb):
-            rhs = i * (1 - self._act[j2]) % pa
+            rhs = i * (1 - self._act[j2 % self._k]) % pa
             if rhs % g:
                 continue
             i0 = rhs // g * inv % step

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+# entries kept per graph in each of its memos (fixed elements, closures)
+_CACHE_CAP = 4096
+
+
 class _Fixed:
     """Precomputed data for adjacency tests against one fixed element."""
 
@@ -96,6 +100,7 @@ class PowerGraph:
         self._diamond: TwinPartition | None = None
         self._fixed_cache: dict[int, _Fixed] = {}
         self._class_records: dict[int, object] = {}
+        self._closures: dict[int, frozenset[int]] = {}
         if self.materialized:
             poset = group.cyclic_poset()
             self._rows = [poset.rows[s] for s in poset.sub_of]
@@ -120,9 +125,16 @@ class PowerGraph:
         fx = self._fixed_cache.get(x)
         if fx is None:
             fx = _Fixed(self.group, self.group.word_of(x))
-            if len(self._fixed_cache) < 4096:
+            if len(self._fixed_cache) < _CACHE_CAP:
                 self._fixed_cache[x] = fx
         return fx
+
+    def _common_mask(self, xs) -> int:
+        """The AND of the rows of xs: their common neighbourhood as a bitmask."""
+        rows, m = self._rows, self._full
+        for x in xs:
+            m &= rows[x]
+        return m
 
     # -- adjacency ------------------------------------------------------------
 
@@ -156,10 +168,7 @@ class PowerGraph:
         """
         xs = frozenset(xs)
         if self._rows is not None:
-            m = self._full
-            for x in xs:
-                m &= self._rows[x]
-            return _bits_to_set(m)
+            return _bits_to_set(self._common_mask(xs))
         if not xs:
             raise ScaleError(
                 "common neighbourhood of the empty set is the whole group; "
@@ -177,19 +186,24 @@ class PowerGraph:
         class is), the whole computation happens inside N[x0] for any
         x0 in xs; otherwise the closure lies in N[z0] for any z0 in the
         common neighbourhood, and one pass over C(z0) finds it.
+
+        Materialized, the closure depends only on the common neighbourhood
+        m, so it is computed and decoded once per distinct m and kept.
         """
         xs = frozenset(xs)
         if self._rows is not None:
-            m = self._full
-            for x in xs:
-                m &= self._rows[x]
-            out = self._full
-            rest = m
-            while rest:
-                bit = rest & -rest
-                out &= self._rows[bit.bit_length() - 1]
-                rest ^= bit
-            return _bits_to_set(out)
+            m = self._common_mask(xs)
+            hat = self._closures.get(m)
+            if hat is None:
+                out, rest = self._full, m
+                while rest:
+                    bit = rest & -rest
+                    out &= self._rows[bit.bit_length() - 1]
+                    rest ^= bit
+                hat = _bits_to_set(out)
+                if len(self._closures) < _CACHE_CAP:
+                    self._closures[m] = hat
+            return hat
         if not xs:
             return self.star_vertices()
         g = self.group
@@ -384,7 +398,11 @@ class PowerGraph:
         on first request and kept with the graph."""
         rec = self._class_records.get(cid)
         if rec is None:
-            rec = self._class_records[cid] = classify(self, self.twin_partition().classes[cid])
+            members = self.twin_partition().classes[cid]
+            rec = self._class_records[cid] = classify(self, members)
+            # the record is what is kept: the members share one row, so the
+            # closure memo entry it left under that row is dropped again
+            self._closures.pop(self._rows[next(iter(members))], None)
         return rec
 
     def strict_overgroups(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:

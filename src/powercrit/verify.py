@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .criticality import (
     class_records,
@@ -64,10 +65,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: str | Callable[[], str]) -> None:
+        """Count one check; record `message` (called first, if callable) on failure."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message() if callable(message) else message)
 
 
 def builtin_family(max_order: int) -> list[Group]:
@@ -110,21 +112,21 @@ def suite_closure(family: list[Group], subsets: int = CLOSURE_SUBSETS) -> SuiteR
             size = rng.randint(0, min(n, 12))
             xs = frozenset(rng.sample(range(n), size))
             hat = graph.closure(xs)
-            res.check(xs <= hat, f"{group.descriptor}: closure not extensive on {sorted(xs)}")
+            res.check(xs <= hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
             res.check(
                 graph.closure(hat) == hat,
-                f"{group.descriptor}: closure not idempotent on {sorted(xs)}",
+                lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}",
             )
             extra = rng.randint(0, min(n - size, 4))
             ys = xs | frozenset(rng.sample(range(n), min(n, size + extra)))
             res.check(
                 hat <= graph.closure(ys),
-                f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(ys)}",
+                lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(ys)}",
             )
             if xs:
                 res.check(
                     hat >= (xs | star),
-                    f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
+                    lambda: f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
                 )
     return res
 

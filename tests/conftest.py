@@ -38,6 +38,21 @@ def brute_twin_class(group: Group, x: int) -> frozenset[int]:
     )
 
 
+@functools.lru_cache(maxsize=2)
+def _brute_neighborhoods(group: Group) -> tuple[frozenset[int], ...]:
+    return tuple(brute_closed_neighborhood(group, x) for x in range(group.order))
+
+
+def brute_closure(group: Group, xs) -> frozenset[int]:
+    """N[N[xs]]: the common neighbourhood of xs (the whole group for no xs),
+    then the common neighbourhood of that; closed neighbourhoods are kept
+    for the last two groups."""
+    nbs = _brute_neighborhoods(group)
+    everything = frozenset(range(group.order))
+    common = everything.intersection(*(nbs[x] for x in xs))
+    return everything.intersection(*(nbs[z] for z in common))
+
+
 def brute_edge_count(group: Group) -> int:
     n = group.order
     return sum(

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from conftest import brute_edge_count
 from powercrit import make_symmetric
@@ -160,6 +163,23 @@ def test_exit_code_invalid_params(capsys):
 def test_exit_code_scale_error(capsys):
     code, _, err = run(capsys, "analyze", "S:8")
     assert code == 3 and "threshold" in err
+
+
+@pytest.mark.parametrize("n", [13, 20_000_000, 10**12])
+def test_exit_code_scale_error_quaternion_before_exponentiating(capsys, n):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "analyze", f"Q:{n}")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert f"order 2^{n} exceeds the materialization threshold 4096" in err
+
+
+def test_exit_code_scale_error_metacyclic_huge_acting_factor(capsys):
+    # q^b = 3^40, but 2 has order 3 mod 7: the constructor stores one period
+    started = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "M:7,1,3,40,2")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == "" and "threshold 4096" in err
 
 
 def test_exit_code_usage(capsys):

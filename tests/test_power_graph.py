@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     brute_adjacent_or_equal,
     brute_closed_neighborhood,
+    brute_closure,
     brute_edge_count,
     brute_twin_class,
     cycle_type_element,
@@ -22,6 +23,8 @@ from powercrit import (
     make_metacyclic,
     make_symmetric,
 )
+from powercrit import power_graph
+from powercrit.groupspec import parse_group_spec
 from powercrit.power_graph import export_dot, export_json_graph
 
 S4 = make_symmetric(4)
@@ -128,6 +131,26 @@ def test_moore_closure_laws_quick():
             assert hat <= pg.closure(ys)
             if xs:
                 assert hat >= xs | star
+
+
+@pytest.mark.parametrize("spec", ["C:12", "D:15", "Q:3", "S:4", "C:3 x C:3", "M:5,2,2,2,7"])
+def test_closure_matches_brute_force(spec, monkeypatch):
+    g = parse_group_spec(spec)
+    rng = random.Random(spec)
+    subsets = [frozenset()] + [frozenset({x}) for x in range(g.order)]
+    subsets += [frozenset(rng.sample(range(g.order), rng.randint(2, min(g.order, 8)))) for _ in range(40)]
+    expected = [brute_closure(g, xs) for xs in subsets]
+    pg = PowerGraph(g)
+    # the second pass is answered from the closure memo
+    for _ in range(2):
+        assert [pg.closure(xs) for xs in subsets] == expected
+    # past the memo's cap, misses are still computed, just not kept
+    monkeypatch.setattr(power_graph, "_CACHE_CAP", 4)
+    capped = PowerGraph(g)
+    assert len({capped.common_neighborhood(xs) for xs in subsets}) > 4
+    for _ in range(2):
+        assert [capped.closure(xs) for xs in subsets] == expected
+    assert len(capped._closures) == 4
 
 
 # -- star vertices ----------------------------------------------------------------

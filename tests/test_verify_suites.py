@@ -1,6 +1,7 @@
 import pytest
 
-from powercrit.verify import SUITE_NAMES, builtin_family, run_suites
+from powercrit import PowerGraph, make_cyclic
+from powercrit.verify import SUITE_NAMES, SuiteResult, builtin_family, run_suites, suite_closure
 
 
 def test_builtin_family_respects_max_order():
@@ -22,3 +23,29 @@ def test_run_suites_all_names():
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["bogus"], 24)
+
+
+def test_check_builds_callable_message_only_on_failure():
+    res = SuiteResult("t")
+    res.check(True, lambda: pytest.fail("message built for a passing check"))
+    res.check(False, lambda: "lazy")
+    res.check(False, "eager")
+    assert res.checks == 3 and res.failures == ["lazy", "eager"]
+
+
+def test_closure_suite_failure_text(monkeypatch):
+    calls = []
+
+    def empty_closure(graph, xs):
+        calls.append(sorted(xs))
+        return frozenset()
+
+    monkeypatch.setattr(PowerGraph, "closure", empty_closure)
+    res = suite_closure([make_cyclic(5)], subsets=20)
+    # three closures per subset: xs, its closure, a superset; with every
+    # closure empty, extensivity and the star law fail on each non-empty xs
+    expected = []
+    for xs in calls[::3]:
+        if xs:
+            expected += [f"C:5: closure not extensive on {xs}", f"C:5: closure misses the star set on {xs}"]
+    assert expected and res.failures == expected
