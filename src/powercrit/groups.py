@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_MATERIALIZE = 4096
+# The metacyclic centralizer walk visits every acting exponent j < q^b,
+# about half a second per walk at this many; above it a query is refused.
+MAX_CENTRALIZER_WALK = 1 << 20
 
 
 def max_materialize() -> int:
@@ -623,18 +626,26 @@ class MetacyclicGroup(Group):
         return (-self._rpow[j % self._k] * i) % self.pa * self.qb + (self.qb - j) % self.qb
 
     def word_order(self, w: int) -> int:
-        i, j = divmod(w, self.qb)
-        t = self.qb // math.gcd(j, self.qb) if j else 1
-        # (i, j)^t = (i * (1 + r^-j + ... + r^(-j(t-1))), 0); the terms
-        # repeat with period ord(r^-j), which divides t, so one period is summed
-        rj = self._act[j % self._k]
-        s, acc, period = 1, rj, 1
-        while acc != 1:
-            s += acc
-            acc = acc * rj % self.pa
-            period += 1
-        c = i * s * (t // period) % self.pa
+        t = self.qb // math.gcd(w % self.qb, self.qb)
+        # w^t = (c, 0) lies in the normal factor C_{p^a}
+        c = self.word_pow(w, t) // self.qb
         return t * (self.pa // math.gcd(c, self.pa))
+
+    def word_pow(self, w: int, k: int) -> int:
+        """(i, j)^k = (i (1 + r^-j + ... + r^(-j(k-1))), jk), the geometric
+        sum built by doubling in O(log k) steps."""
+        if k < 0:
+            w, k = self.inv(w), -k
+        pa = self.pa
+        i, j = divmod(w, self.qb)
+        c = self._act[j % self._k]
+        # (s, ck) = (1 + c + ... + c^(n-1), c^n) for the bits of k read so far
+        s, ck = 0, 1
+        for bit in bin(k)[2:]:
+            s, ck = s * (1 + ck) % pa, ck * ck % pa
+            if bit == "1":
+                s, ck = (s + ck) % pa, ck * c % pa
+        return i * s % pa * self.qb + j * k % self.qb
 
     def centralizer_words(self, w: int) -> Iterator[int]:
         """Exactly C(w), solving the commuting condition one j' at a time.
@@ -644,6 +655,11 @@ class MetacyclicGroup(Group):
         solutions or none, so the cost is O(q^b + |C(w)|).
         """
         pa, qb = self.pa, self.qb
+        if qb > MAX_CENTRALIZER_WALK:
+            raise ScaleError(
+                f"centralizer walk over q^b = {self.q}^{self.b} acting exponents "
+                f"exceeds the limit {MAX_CENTRALIZER_WALK}"
+            )
         i, j = divmod(w, qb)
         coef = (1 - self._act[j % self._k]) % pa
         g = math.gcd(coef, pa)

@@ -8,8 +8,6 @@ serialize byte-identically.
 
 from __future__ import annotations
 
-import jsonschema
-
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
 from .groups import Group, exponent_and_pi, is_maximal_element, max_materialize
@@ -236,8 +234,74 @@ GRAPH_EXPORT_SCHEMA = {
 }
 
 
+# Draft 7 type names as jsonschema applies them: a bool is no number, and
+# an integral float is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (
+        isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
+    ),
+}
+
+
 def validate_document(doc: dict, schema: dict) -> None:
-    jsonschema.validate(instance=doc, schema=schema)
+    """Check `doc` against one of the schemas above, with Draft 7 semantics.
+
+    Only the keywords these schemas use are checked: ``type`` (a name or a
+    list of names), ``properties``, ``required``, ``additionalProperties``
+    (false only), ``items`` (one schema), ``enum`` (scalars; ``True`` is not
+    ``1``), ``minimum``, ``minItems`` and ``maxItems``; ``$schema`` is
+    ignored.  The payloads are built here, so one that fails is a bug: the
+    error is an :class:`InternalConsistencyError` naming the JSON path.
+    """
+    _check(doc, schema, None)
+
+
+def _check(x, schema: dict, path) -> None:
+    t = schema.get("type")
+    if t is not None and not (
+        _TYPES[t](x) if isinstance(t, str) else any(_TYPES[name](x) for name in t)
+    ):
+        _fail(path, f"{x!r} is not of type {t!r}")
+    enum = schema.get("enum")
+    if enum is not None and not any(
+        v == x and isinstance(v, bool) == isinstance(x, bool) for v in enum
+    ):
+        _fail(path, f"{x!r} is not one of {enum!r}")
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                _fail(path, f"required property {key!r} is missing")
+        props = schema.get("properties", {})
+        closed = schema.get("additionalProperties", True) is False
+        for key, value in x.items():
+            sub = props.get(key)
+            if sub is not None:
+                _check(value, sub, (path, key))
+            elif closed:
+                _fail(path, f"property {key!r} is not allowed")
+    elif isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            _fail(path, f"length {len(x)} is out of range")
+        items = schema.get("items")
+        if items is not None:
+            for i, value in enumerate(x):
+                _check(value, items, (path, i))
+    elif "minimum" in schema and _TYPES["number"](x) and x < schema["minimum"]:
+        _fail(path, f"{x!r} is less than the minimum {schema['minimum']!r}")
+
+
+def _fail(path, message: str):
+    steps = []
+    while path is not None:
+        path, key = path
+        steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    raise InternalConsistencyError(f"payload at ${''.join(reversed(steps))}: {message}")
 
 
 def _params_dict(group: Group, params) -> dict | None:

@@ -262,6 +262,8 @@ def suite_partitions(family: list[Group]) -> SuiteResult:
         if group.order < 2:
             continue
         part = cyclic_partition(group)
+        # both graph checks below need a cyclic partition; they share one graph
+        graph = PowerGraph(group) if part.is_partition else None
         if part.is_partition:
             covered: set[int] = set()
             ok = True
@@ -277,7 +279,7 @@ def suite_partitions(family: list[Group]) -> SuiteResult:
                 f"{group.descriptor}: reported cyclic partition is not a partition",
             )
             res.check(
-                check_plain_critical_maximal(group).passed is True,
+                check_plain_critical_maximal(group, graph).passed is True,
                 f"{group.descriptor}: plain critical element is not maximal",
             )
         pp = as_prime_power(group.order)
@@ -288,7 +290,7 @@ def suite_partitions(family: list[Group]) -> SuiteResult:
                 f"{group.descriptor}: Hughes-Thompson criterion disagrees with "
                 "the cyclic-partition brute force",
             )
-        v44 = check_partition_implies_compound_critical(group)
+        v44 = check_partition_implies_compound_critical(group, graph)
         if v44.applicable:
             res.check(v44.passed is True, f"{group.descriptor}: {v44.detail}")
         vmc = check_main_corollary(group)

@@ -1,6 +1,7 @@
 import json
 import time
 
+import jsonschema
 import pytest
 
 from conftest import brute_edge_count
@@ -26,6 +27,7 @@ def test_analyze_d15_plain_critical_class(capsys):
     assert code == 0
     doc = json.loads(out)
     validate_document(doc, ANALYSIS_REPORT_SCHEMA)
+    jsonschema.validate(doc, ANALYSIS_REPORT_SCHEMA)
     assert doc["order"] == 30
     hits = [c for c in doc["classes"] if c["kind"] == "plain" and c["is_critical"]]
     assert len(hits) == 1
@@ -48,6 +50,7 @@ def test_analyze_element_report(capsys):
     assert code == 0
     doc = json.loads(out)
     validate_document(doc, ELEMENT_REPORT_SCHEMA)
+    jsonschema.validate(doc, ELEMENT_REPORT_SCHEMA)
     assert doc["kind"] == "compound" and doc["is_critical"] is True
     assert doc["params"]["p"] == 2 and doc["params"]["s"] == 0
     assert doc["is_maximal"] is True
@@ -60,6 +63,7 @@ def test_analyze_element_lazy_scale(capsys):
     assert code == 0
     doc = json.loads(out)
     validate_document(doc, ELEMENT_REPORT_SCHEMA)
+    jsonschema.validate(doc, ELEMENT_REPORT_SCHEMA)
     assert doc["order"] == 40320
     assert doc["kind"] == "plain" and doc["is_critical"] is True
     assert doc["n_class_size"] == 8 and doc["closure_size"] == 9
@@ -115,6 +119,7 @@ def test_census_jsonl(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     for line in lines:
         validate_document(line, CENSUS_LINE_SCHEMA)
+        jsonschema.validate(line, CENSUS_LINE_SCHEMA)
     crit = [l for l in lines if l["critical"]]
     assert len(crit) == 1 and crit[0]["order"] == 100 and crit[0]["graph_agrees"] is True
 
@@ -130,6 +135,7 @@ def test_export_json_matches_brute_force(capsys):
     assert code == 0
     doc = json.loads(out)
     validate_document(doc, GRAPH_EXPORT_SCHEMA)
+    jsonschema.validate(doc, GRAPH_EXPORT_SCHEMA)
     assert len(doc["vertices"]) == 24
     assert len(doc["edges"]) == brute_edge_count(make_symmetric(4))
 
@@ -180,6 +186,16 @@ def test_exit_code_scale_error_metacyclic_huge_acting_factor(capsys):
     code, out, err = run(capsys, "analyze", "M:7,1,3,40,2")
     assert time.perf_counter() - started < 1.0
     assert code == 3 and out == "" and "threshold 4096" in err
+
+
+def test_exit_code_scale_error_metacyclic_centralizer_walk(capsys):
+    # C((1,0)) has 7 * 3^39 elements: the walk over the 3^40 acting
+    # exponents is refused before it starts
+    started = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "M:7,1,3,40,2", "--element", "(1,0)")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert "q^b = 3^40" in err and "Traceback" not in err
 
 
 def test_exit_code_usage(capsys):

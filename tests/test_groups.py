@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_table_matches,
+    brute_powers,
     int64_cyclic,
     int64_dihedral,
     int64_direct_product,
@@ -13,7 +14,9 @@ from conftest import (
     product_table,
 )
 from powercrit import (
+    Group,
     ScaleError,
+    census,
     cyclic_subgroup,
     exponent_and_pi,
     generated_subgroup,
@@ -158,6 +161,23 @@ def test_metacyclic_order_formula_matches_iteration():
                 y = g.mul(y, a)
                 k += 1
             assert g.element_order(a) == k
+
+
+def test_metacyclic_word_pow_matches_binary_exponentiation():
+    checked = 0
+    for entry in census(200, all_r=True):
+        if not entry.flags.well_defined:
+            continue
+        m = entry.params
+        g = make_metacyclic(m.p, m.a, m.q, m.b, m.r)
+        for x in range(g.order):
+            o = len(brute_powers(g, x))
+            assert g.word_order(x) == o, (g.descriptor, g.element_label(x))
+            for k in range(o):
+                assert g.word_pow(x, k) == Group.word_pow(g, x, k), (g.descriptor, x, k)
+            assert g.word_pow(x, -1) == g.inv(x)
+        checked += 1
+    assert checked > 100
 
 
 def test_metacyclic_pair_descriptors():
