@@ -28,6 +28,7 @@ from .groups import (
     cyclic_subgroup,
     make_metacyclic,
     max_materialize,
+    metacyclic_violation,
 )
 from .numtheory import factorize, is_prime, multiplicative_order, primes_upto
 from .partitions import Verdict
@@ -44,6 +45,10 @@ __all__ = [
     "recognize_critical_structure",
     "validate",
 ]
+
+
+# A census to this order takes about a minute (every r < p^a is tried).
+MAX_CENSUS_ORDER = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,25 +76,10 @@ class ParamFlags:
 def validate(params: MetacyclicParams) -> ParamFlags:
     """All four flags for a parameter tuple; invalid input names its violation."""
     p, a, q, b, r = params.p, params.a, params.q, params.b, params.r
-
-    def invalid(reason: str) -> ParamFlags:
-        return ParamFlags(False, False, False, False, reason)
-
-    if not is_prime(p):
-        return invalid(f"p = {p} is not prime")
-    if not is_prime(q):
-        return invalid(f"q = {q} is not prime")
-    if p == q:
-        return invalid(f"p and q must be distinct, both are {p}")
-    if a < 1 or b < 1:
-        return invalid(f"exponents must be >= 1, got a={a}, b={b}")
+    violation = metacyclic_violation(p, a, q, b, r)
+    if violation is not None:
+        return ParamFlags(False, False, False, False, violation)
     pa, qb = p**a, q**b
-    if not 2 <= r < pa:
-        return invalid(f"r must satisfy 2 <= r < p^a = {pa}, got {r}")
-    if r % p == 0:
-        return invalid(f"p = {p} divides r = {r}")
-    if pow(r, qb, pa) != 1:
-        return invalid(f"r^(q^b) = {r}^{qb} != 1 (mod {pa}); presentation not well defined")
     eppo = multiplicative_order(r, pa) == qb
     frob = multiplicative_order(r, p) == qb
     return ParamFlags(True, eppo, frob, frob and a >= 2 and b >= 2)
@@ -204,6 +194,8 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if max_order > MAX_CENSUS_ORDER:
+        raise ScaleError(f"census to order {max_order} exceeds the limit {MAX_CENSUS_ORDER}")
     entries: list[CensusEntry] = []
     primes = primes_upto(max_order // 2)
     for p in primes:
@@ -224,6 +216,10 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
             a += 1
     entries.sort(key=lambda e: (e.params.order, e.params.p, e.params.a, e.params.q, e.params.b, e.params.r))
     if verify_up_to:
+        cap = max_materialize()
+        too_large = [e.params.order for e in entries if e.flags.well_defined and cap < e.params.order <= verify_up_to]
+        if too_large:
+            raise ScaleError(f"census verification of order {too_large[0]} exceeds threshold {cap}")
         verified = []
         for e in entries:
             if e.flags.well_defined and e.params.order <= verify_up_to:

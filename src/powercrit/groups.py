@@ -1,12 +1,14 @@
-"""Finite groups with index-addressed elements and three storage backends.
+"""Finite groups with index-addressed elements and four backends.
 
 Every group exposes its elements as the indices ``0 .. order-1`` with
 index 0 the identity; the indexing per backend is frozen so reports are
-reproducible bit for bit.  Backends:
+reproducible bit for bit.  No backend stores a multiplication table:
 
-* :class:`CayleyTableGroup` -- dense multiplication table (numpy), used
-  for the cyclic, dihedral, generalized quaternion and direct-product
-  families up to the materialization threshold;
+* :class:`RotationReflectionGroup` -- the cyclic, dihedral and
+  generalized quaternion families on rotations and reflections, a
+  product costing a few integer operations;
+* :class:`DirectProductGroup` -- any two groups, composed factor by
+  factor on the index a * |H| + b;
 * :class:`PermutationGroup` -- S_k for k <= 11, addressed by Lehmer rank
   in lexicographic one-line order.  Elements are decoded on demand and
   the group is never materialized, which is what makes scans over S_8
@@ -24,7 +26,9 @@ backends enumerate directly instead of scanning the whole group.
 
 At or below the materialization threshold every group answers its
 cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
-powers of each cyclic subgroup once rather than once per element.
+powers of each cyclic subgroup once rather than once per element.  The
+threshold bounds that poset and its n-bit rows; the cyclic, dihedral,
+quaternion and direct-product constructors refuse larger orders.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import ResourceLimitError, ScaleError, SettingError
 from .numtheory import factorize, is_prime
 
@@ -47,9 +49,10 @@ __all__ = [
     "CyclicPoset",
     "CyclicSubgroup",
     "Group",
-    "CayleyTableGroup",
+    "DirectProductGroup",
     "PermutationGroup",
     "MetacyclicGroup",
+    "RotationReflectionGroup",
     "cyclic_subgroup",
     "exponent_and_pi",
     "generated_subgroup_words",
@@ -63,13 +66,17 @@ __all__ = [
     "make_symmetric",
     "max_materialize",
     "maximal_cyclic_subgroups",
+    "metacyclic_violation",
     "spot_check_axioms",
 ]
 
+# Bounds the cyclic-subgroup poset: one n-bit row per cyclic subgroup.
 DEFAULT_MAX_MATERIALIZE = 4096
-# The metacyclic centralizer walk visits every acting exponent j < q^b,
-# about half a second per walk at this many; above it a query is refused.
+# Lazy walks (a metacyclic centralizer over j < q^b, the powers of one
+# element) take about half a second at this length; longer ones are refused.
 MAX_CENTRALIZER_WALK = 1 << 20
+# Largest p^a, q^b in bits: primality tests and modular powers stay fast.
+MAX_PRIME_POWER_BITS = 1024
 
 
 def max_materialize() -> int:
@@ -114,16 +121,7 @@ class Group(ABC):
         """Inverse of an element, by index."""
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        result, base = self.identity, a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
+        return self.index_of(self.word_pow(self.word_of(a), k))
 
     def cyclic_poset(self) -> CyclicPoset:
         """The poset of cyclic subgroups, built on first call and kept."""
@@ -212,7 +210,10 @@ class Group(ABC):
         return result
 
     def word_powers(self, w) -> list:
-        """Like :meth:`powers` but on words, walked on every call."""
+        """Like :meth:`powers` but on words, walked on every call.  Above the
+        threshold the order is read first, and a long walk refused."""
+        if not self._materialized and (o := self.word_order(w)) > MAX_CENTRALIZER_WALK:
+            raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
         e = self.word_of(self.identity)
         seq, x = [e], w
         while x != e:
@@ -232,28 +233,51 @@ class Group(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Cayley-table backend
+# Backends multiplying by formula
 # ---------------------------------------------------------------------------
 
 
-class CayleyTableGroup(Group):
-    """Dense multiplication table; O(1) products, O(n^2) memory."""
+class RotationReflectionGroup(Group):
+    """C:n, D:n, Q:n on rotations a^i (index i < m) and, for D and Q,
+    a^i b (index m + i), with a^i b a^j b = a^(i - j + twist): twist 0 for
+    D, m/2 for Q."""
 
-    def __init__(self, table: np.ndarray, descriptor: str):
-        n = table.shape[0]
-        if table.shape != (n, n):
-            raise ValueError("Cayley table must be square")
-        super().__init__(n, descriptor)
-        self._table = table
-        # identity fixed at index 0 by every constructor in this module
-        inv = np.argmin(table != 0, axis=1)
-        self._inv = inv
+    def __init__(self, m: int, reflections: bool, twist: int, descriptor: str):
+        super().__init__(2 * m if reflections else m, descriptor)
+        self.m, self.twist = m, twist
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
+        m = self.m
+        if a < m:
+            return (a + b) % m if b < m else (a + b) % m + m  # a^i a^j (b)
+        if b < m:
+            return (a - b) % m + m  # a^i b a^j = a^(i - j) b
+        return (a - b + self.twist) % m
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        m = self.m
+        return -a % m if a < m else (a + self.twist) % m + m
+
+
+# The bench tracer counts products through this name; it goes with the
+# bench change that reads spans and counters from the package.
+CayleyTableGroup = RotationReflectionGroup
+
+
+class DirectProductGroup(Group):
+    """G x H on indices a * |H| + b, multiplied factor by factor."""
+
+    def __init__(self, g: Group, h: Group):
+        super().__init__(g.order * h.order, f"{g.descriptor} x {h.descriptor}")
+        self.g, self.h = g, h
+
+    def mul(self, a: int, b: int) -> int:
+        nh = self.h.order
+        return self.g.mul(a // nh, b // nh) * nh + self.h.mul(a % nh, b % nh)
+
+    def inv(self, a: int) -> int:
+        nh = self.h.order
+        return self.g.inv(a // nh) * nh + self.h.inv(a % nh)
 
 
 def _scale_error(what: str, order, cap: int) -> ScaleError:
@@ -263,58 +287,29 @@ def _scale_error(what: str, order, cap: int) -> ScaleError:
     )
 
 
-def _check_table_scale(order: int, what: str) -> None:
+def _check_scale(order: int, what: str) -> None:
     cap = max_materialize()
     if order > cap:
         raise _scale_error(what, order, cap)
 
 
-def _table_dtype(n: int):
-    return np.uint16 if n <= 0xFFFF else np.uint32
-
-
-def _sums_mod(n: int, dtype) -> np.ndarray:
-    """Read-only n x n view with entry (i, j) = (i + j) % n, in `dtype`.
-
-    Row i is the window [i, i + n) of 0..n-1 written twice, so no n x n
-    temporary is ever allocated.
-    """
-    idx = np.arange(n, dtype=dtype)
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([idx, idx]), n)[:n]
-
-
-def _rotation_reflection_table(m: int, twist: int, dtype) -> np.ndarray:
-    """Table on rotations 0..m-1 and reflections m..2m-1 with a^i b a^j b
-    = a^(i - j + twist): dihedral for twist 0, quaternion for twist m/2."""
-    sums = _sums_mod(m, dtype)
-    table = np.empty((2 * m, 2 * m), dtype=dtype)
-    table[:m, :m] = sums  # a^i a^j = a^(i + j)
-    table[:m, m:] = sums  # a^i a^j b = a^(i + j) b
-    table[:m, m:] += m
-    table[m:, :m] = sums[:, (-np.arange(m)) % m]  # a^i b a^j = a^(i - j) b
-    table[m:, :m] += m
-    table[m:, m:] = sums[:, (twist - np.arange(m)) % m]
-    return table
-
-
-def make_cyclic(n: int) -> CayleyTableGroup:
+def make_cyclic(n: int) -> RotationReflectionGroup:
     """Cyclic group of order n; index i is the i-th power of the generator."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    _check_table_scale(n, "cyclic group")
-    table = np.array(_sums_mod(n, _table_dtype(n)), order="C")
-    return CayleyTableGroup(table, f"C:{n}")
+    _check_scale(n, "cyclic group")
+    return RotationReflectionGroup(n, False, 0, f"C:{n}")
 
 
-def make_dihedral(n: int) -> CayleyTableGroup:
+def make_dihedral(n: int) -> RotationReflectionGroup:
     """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    _check_table_scale(2 * n, "dihedral group")
-    return CayleyTableGroup(_rotation_reflection_table(n, 0, _table_dtype(2 * n)), f"D:{n}")
+    _check_scale(2 * n, "dihedral group")
+    return RotationReflectionGroup(n, True, 0, f"D:{n}")
 
 
-def make_generalized_quaternion(n: int) -> CayleyTableGroup:
+def make_generalized_quaternion(n: int) -> RotationReflectionGroup:
     """Generalized quaternion group of order 2**n, n >= 3.
 
     Indices 0..m-1 are powers of the order-m rotation a (m = 2**(n-1));
@@ -327,28 +322,14 @@ def make_generalized_quaternion(n: int) -> CayleyTableGroup:
     cap = max_materialize()
     if n >= max(cap, 0).bit_length():
         raise _scale_error("generalized quaternion group", f"2^{n}", cap)
-    order = 2**n
-    m = order // 2
-    table = _rotation_reflection_table(m, m // 2, _table_dtype(order))
-    return CayleyTableGroup(table, f"Q:{n}")
+    m = 2 ** (n - 1)
+    return RotationReflectionGroup(m, True, m // 2, f"Q:{n}")
 
 
-def make_direct_product(g: Group, h: Group) -> CayleyTableGroup:
+def make_direct_product(g: Group, h: Group) -> DirectProductGroup:
     """Direct product, element index (a, b) -> a * |H| + b."""
-    order = g.order * h.order
-    _check_table_scale(order, "direct product")
-    dtype = _table_dtype(order)
-    tg, th = (
-        f._table if isinstance(f, CayleyTableGroup)
-        else np.array([[f.mul(a, b) for b in range(f.order)] for a in range(f.order)], dtype=dtype)
-        for f in (g, h)
-    )
-    # entry ((a1, b1), (a2, b2)) = g[a1, a2] * |H| + h[b1, b2]
-    table = np.empty((order, order), dtype=dtype)
-    blocks = table.reshape(g.order, h.order, g.order, h.order)
-    blocks[...] = th[None, :, None, :]
-    blocks += (tg.astype(dtype) * h.order)[:, None, :, None]
-    return CayleyTableGroup(table, f"{g.descriptor} x {h.descriptor}")
+    _check_scale(g.order * h.order, "direct product")
+    return DirectProductGroup(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -569,23 +550,10 @@ class MetacyclicGroup(Group):
     """
 
     def __init__(self, p: int, a: int, q: int, b: int, r: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if not is_prime(q):
-            raise ValueError(f"q = {q} is not prime")
-        if p == q:
-            raise ValueError(f"p and q must be distinct primes, both are {p}")
-        if a < 1 or b < 1:
-            raise ValueError(f"exponents must be >= 1, got a={a}, b={b}")
+        violation = metacyclic_violation(p, a, q, b, r)
+        if violation is not None:
+            raise ValueError(violation)
         pa, qb = p**a, q**b
-        if not 2 <= r < pa:
-            raise ValueError(f"r must satisfy 2 <= r < p^a = {pa}, got {r}")
-        if r % p == 0:
-            raise ValueError(f"p = {p} divides r = {r}")
-        if pow(r, qb, pa) != 1:
-            raise ValueError(
-                f"presentation not well defined: r^(q^b) = {r}^{qb} != 1 (mod {pa})"
-            )
         super().__init__(pa * qb, f"M:{p},{a},{q},{b},{r}")
         self.p, self.a, self.q, self.b, self.r = p, a, q, b, r
         self.pa, self.qb = pa, qb
@@ -594,6 +562,8 @@ class MetacyclicGroup(Group):
         k, rk = 1, r
         while rk != 1:
             k, rk = k * q, pow(rk, q, pa)
+        if k > MAX_CENTRALIZER_WALK:
+            raise ScaleError(f"storing the {k} powers of r = {r} exceeds the limit {MAX_CENTRALIZER_WALK}")
         self._k = k
         self._rpow = [pow(r, j, pa) for j in range(k)]
         # conjugation acts as y^-1 x y = x^r, so commuting y^j past x^i
@@ -692,6 +662,33 @@ class MetacyclicGroup(Group):
                 raise ValueError(f"coordinates {text!r} out of range ({self.pa}, {self.qb})")
             return self.index_of_pair(i, j)
         return super().parse_element(text)
+
+
+def metacyclic_violation(p: int, a: int, q: int, b: int, r: int) -> str | None:
+    """Why (p, a, q, b, r) presents no metacyclic group, or None if it does.
+
+    Raises ScaleError when p^a or q^b would exceed MAX_PRIME_POWER_BITS,
+    judged from bit lengths before any primality test or power.
+    """
+    if a < 1 or b < 1:
+        return f"exponents must be >= 1, got a={a}, b={b}"
+    for name, base, e in (("p^a", p, a), ("q^b", q, b)):
+        if e * base.bit_length() > MAX_PRIME_POWER_BITS:
+            raise ScaleError(f"{name} = {base}^{e} exceeds the limit of {MAX_PRIME_POWER_BITS} bits")
+    if not is_prime(p):
+        return f"p = {p} is not prime"
+    if not is_prime(q):
+        return f"q = {q} is not prime"
+    if p == q:
+        return f"p and q must be distinct primes, both are {p}"
+    pa, qb = p**a, q**b
+    if not 2 <= r < pa:
+        return f"r must satisfy 2 <= r < p^a = {pa}, got {r}"
+    if r % p == 0:
+        return f"p = {p} divides r = {r}"
+    if pow(r, qb, pa) != 1:
+        return f"presentation not well defined: r^(q^b) = {r}^{qb} != 1 (mod {pa})"
+    return None
 
 
 def make_metacyclic(p: int, a: int, q: int, b: int, r: int) -> MetacyclicGroup:
@@ -865,16 +862,15 @@ def _generators(pw) -> frozenset:
 
 
 def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:
-    """(set of primes dividing the order, every-element-order-is-a-prime-power)."""
+    """(set of primes dividing the order, every-element-order-is-a-prime-power),
+    from the cyclic subgroups of the poset when materialized, else one scan."""
     pi = frozenset(p for p, _ in factorize(group.order))
-    is_eppo = True
-    for _, w in group.scan():
-        o = group.word_order(w)
-        f = factorize(o)
-        if len(f) > 1:
-            is_eppo = False
-            break
-    return pi, is_eppo
+    poset = group._materialized_poset()
+    if poset is not None:
+        orders: Iterable[int] = map(len, poset.powers)
+    else:
+        orders = (group.word_order(w) for _, w in group.scan())
+    return pi, all(len(factorize(o)) <= 1 for o in orders)
 
 
 def generated_subgroup_words(group: Group, words: Iterable, cap: int = 100_000) -> frozenset:

@@ -198,6 +198,41 @@ def test_exit_code_scale_error_metacyclic_centralizer_walk(capsys):
     assert "q^b = 3^40" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # <(0,1)> has order 3^40 and <(1,0)> order 5^9: the walk over their
+        # powers is refused before it starts
+        (["analyze", "M:7,1,3,40,2", "--element", "(0,1)"], "12157665459056928801 powers"),
+        (["analyze", "M:5,9,2,1,1953124", "--element", "(1,0)"], "1953125 powers"),
+        # q^b = 3^30000000 is refused from bit lengths, before it is computed
+        (["analyze", "M:5,1,3,30000000,2"], "q^b = 3^30000000 exceeds the limit of 1024 bits"),
+        # 125 has order 2^30 mod p = 3 * 2^30 + 1: its powers are not stored
+        (["analyze", "M:3221225473,1,2,30,125", "--element", "(1,0)"], "1073741824 powers of r = 125"),
+        # refused before the sieve of primes up to 10^9
+        (["census", "--max-order", "2000000000"], "census to order 2000000000 exceeds the limit"),
+        # refused before any group is built: the first order past 4096 is 4105
+        (["census", "--max-order", "4200", "--verify-up-to", "4200"], "order 4105 exceeds threshold 4096"),
+    ],
+)
+def test_exit_code_scale_error_before_the_work(capsys, argv, message):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_census_verification_guard_spares_unverified_orders(capsys):
+    # orders past the threshold are listed, and only those up to
+    # --verify-up-to are rebuilt
+    code, out, _ = run(capsys, "census", "--max-order", "4200", "--verify-up-to", "200", "--json")
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert max(l["order"] for l in lines) > 4096
+    assert all((l["graph_is_critical"] is None) == (l["order"] > 200) for l in lines)
+
+
 def test_exit_code_usage(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2

@@ -1,17 +1,23 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    assert_table_matches,
+    assert_products_match,
+    assert_products_match_sampled,
     brute_powers,
     int64_cyclic,
     int64_dihedral,
     int64_direct_product,
     int64_quaternion,
-    product_table,
+    int64_table,
 )
 from powercrit import (
     Group,
@@ -28,9 +34,13 @@ from powercrit import (
     make_generalized_quaternion,
     make_metacyclic,
     make_symmetric,
+    max_materialize,
     maximal_cyclic_subgroups,
+    parse_group_spec,
     spot_check_axioms,
 )
+from powercrit.numtheory import as_prime_power, is_prime
+from powercrit.verify import builtin_family
 
 AXIOM_SAMPLE = [
     make_cyclic(1),
@@ -65,23 +75,30 @@ def test_constructor_orders():
     assert make_direct_product(make_cyclic(2), make_cyclic(3)).order == 6
 
 
-# -- Cayley tables against the int64 formulas ---------------------------------------
+# -- products against the int64 formulas -------------------------------------------
 
 
 def _product_oracle(g, h):
-    tg, th = (f._table if hasattr(f, "_table") else product_table(f) for f in (g, h))
-    return lambda a, b: int64_direct_product(tg, th, a, b)
+    formulas = {"C": int64_cyclic, "D": int64_dihedral, "Q": int64_quaternion}
+
+    def oracle(f):
+        fam, _, n = f.descriptor.partition(":")
+        if fam in formulas:
+            return lambda a, b: formulas[fam](int(n), a, b)
+        return int64_table(f)
+
+    return int64_direct_product(h.order, oracle(g), oracle(h))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 12, 97, 256])
 def test_cyclic_and_dihedral_tables_match_int64_formulas(n):
-    assert_table_matches(make_cyclic(n)._table, lambda a, b: int64_cyclic(n, a, b))
-    assert_table_matches(make_dihedral(n)._table, lambda a, b: int64_dihedral(n, a, b))
+    assert_products_match(make_cyclic(n), lambda a, b: int64_cyclic(n, a, b))
+    assert_products_match(make_dihedral(n), lambda a, b: int64_dihedral(n, a, b))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_quaternion_tables_match_int64_formulas(n):
-    assert_table_matches(make_generalized_quaternion(n)._table, lambda a, b: int64_quaternion(n, a, b))
+    assert_products_match(make_generalized_quaternion(n), lambda a, b: int64_quaternion(n, a, b))
 
 
 def test_product_tables_match_int64_formulas():
@@ -90,18 +107,43 @@ def test_product_tables_match_int64_formulas():
         (make_cyclic(3), make_dihedral(4)),
         (make_generalized_quaternion(3), make_cyclic(5)),
         (make_dihedral(3), make_dihedral(5)),
-        (make_cyclic(2), m6),  # a factor without a table of its own
+        (make_cyclic(2), m6),  # a factor with no formula of its own
         (m6, make_cyclic(4)),
     ):
-        assert_table_matches(make_direct_product(g, h)._table, _product_oracle(g, h))
+        assert_products_match(make_direct_product(g, h), _product_oracle(g, h))
 
 
 def test_tables_at_order_4096_match_int64_formulas():
-    assert_table_matches(make_cyclic(4096)._table, lambda a, b: int64_cyclic(4096, a, b))
-    assert_table_matches(make_dihedral(2048)._table, lambda a, b: int64_dihedral(2048, a, b))
-    assert_table_matches(make_generalized_quaternion(12)._table, lambda a, b: int64_quaternion(12, a, b))
-    for g, h in ((make_cyclic(64), make_cyclic(64)), (make_cyclic(2), make_dihedral(1024))):
-        assert_table_matches(make_direct_product(g, h)._table, _product_oracle(g, h))
+    # generators: a (index 1) and, with reflections, b (index m)
+    assert_products_match_sampled(make_cyclic(4096), lambda a, b: int64_cyclic(4096, a, b), [1])
+    assert_products_match_sampled(make_dihedral(2048), lambda a, b: int64_dihedral(2048, a, b), [1, 2048])
+    q12 = make_generalized_quaternion(12)
+    assert_products_match_sampled(q12, lambda a, b: int64_quaternion(12, a, b), [1, 2048])
+    c64, c2, d1024 = make_cyclic(64), make_cyclic(2), make_dihedral(1024)
+    # a generator of either factor, paired with the identity of the other
+    assert_products_match_sampled(make_direct_product(c64, c64), _product_oracle(c64, c64), [64, 1])
+    assert_products_match_sampled(make_direct_product(c2, d1024), _product_oracle(c2, d1024), [2048, 1, 1024])
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, powercrit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("spec", ["C:4096", "D:2000", "Q:11", "C:2 x D:1000", "M:17,2,2,2,38"])
+def test_building_a_group_at_the_threshold_allocates_little(spec):
+    tracemalloc.start()
+    try:
+        group = parse_group_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order >= 1000 and peak < 1 << 20
 
 
 def test_constructor_bounds():
@@ -325,6 +367,23 @@ def test_exponent_and_pi():
     assert (pi, eppo) == (frozenset({2, 3}), False)
     pi, eppo = exponent_and_pi(make_symmetric(4))
     assert (pi, eppo) == (frozenset({2, 3}), True)
+
+
+def test_exponent_and_pi_poset_read_matches_element_scan(monkeypatch):
+    # the poset read of each materialized group against orders from
+    # repeated multiplication, and against the lazy path's element scan
+    # on a copy built above the threshold where the backend allows one
+    family = builtin_family(300)
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
+    for group in family:
+        pi, eppo = exponent_and_pi(group)
+        assert pi == {p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)}
+        brute = all(as_prime_power(len(brute_powers(group, x))) is not None for x in range(group.order))
+        assert eppo == brute, group.descriptor
+        if group.descriptor[0] in "MS":
+            lazy = parse_group_spec(group.descriptor)
+            assert lazy.order > max_materialize()  # so the lazy path runs
+            assert exponent_and_pi(lazy) == (pi, eppo), group.descriptor
 
 
 def test_generated_subgroup():
