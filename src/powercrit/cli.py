@@ -14,7 +14,7 @@ import sys
 import time
 
 from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
-from .groups import max_materialize
+from .groups import require_materialized
 from .groupspec import parse_group_spec
 from .power_graph import PowerGraph, export_dot, export_json_graph
 from .report import (
@@ -104,12 +104,7 @@ def cmd_analyze(args) -> int:
         doc = element_report(group, args.element)
         schema = ELEMENT_REPORT_SCHEMA
     else:
-        cap = max_materialize()
-        if group.order > cap:
-            raise ScaleError(
-                f"full analysis needs materialized mode: order {group.order} exceeds "
-                f"threshold {cap}; use --element for per-element queries"
-            )
+        require_materialized(group, "full analysis", "; use --element for per-element queries")
         graph = PowerGraph(group)
         doc = analyze_group(group, graph)
         schema = ANALYSIS_REPORT_SCHEMA
@@ -222,12 +217,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     group = parse_group_spec(args.spec)
-    cap = max_materialize()
-    if group.order > cap:
-        raise ScaleError(
-            f"graph export needs materialized mode: order {group.order} exceeds "
-            f"threshold {cap}"
-        )
+    require_materialized(group, "graph export")
     graph = PowerGraph(group)
     if args.format == "dot":
         payload = export_dot(graph, args.graph)

@@ -68,37 +68,44 @@ def classify_class(
     """Type one twin class and decide whether it is critical.
 
     `members` must be a closed-twin class of the graph's group (checked
-    against the twin partition in materialized mode).
+    against the twin partition in materialized mode).  Materialized, the
+    class is a union of generator sets of cyclic subgroups, the poset's
+    nodes: it is plain iff it has one node, and its closure is read off
+    the node masks without expanding them to elements.
     """
     g = graph.group
     members = frozenset(members)
     if not members:
         raise ValueError("a twin class is never empty")
     rep = min(members)
-    if graph.materialized and graph.twin_partition().class_containing(rep) != members:
-        raise ValueError(f"{sorted(members)} is not a closed-twin class of {g.descriptor}")
     star = g.identity in members
 
-    # a twin class is a union of same-generator classes and holds rep's,
-    # so it spans one cyclic subgroup iff every member generates <rep>
-    kind = "plain" if members <= g.cyclic_generators(rep) else "compound"
-
-    if star and not graph.materialized:
+    if graph.materialized:
+        poset = g.cyclic_poset()
+        own = graph.class_mask(members)
+        kind = "plain" if own.bit_count() == 1 else "compound"
+        # twins share one comparability mask, the common neighbourhood's nodes
+        hat = poset.meet(poset.comp[own.bit_length() - 1])
+        if star and hat != own:
+            raise InternalConsistencyError(
+                f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"
+            )
+        closure_size = poset.size(hat)
+        closure_is_class_and_identity = hat == own | 1 << poset.sub_of[g.identity]
+    else:
+        # a twin class is a union of same-generator classes and holds rep's,
+        # so it spans one cyclic subgroup iff every member generates <rep>
+        kind = "plain" if members <= g.cyclic_generators(rep) else "compound"
         # N[s] = G for every star vertex, so the closure of the star class
         # is the star class itself; avoids scanning huge groups.
-        closure = members
-    else:
-        closure = graph.closure(members, _candidates=_neighborhood)
-        if star and closure != members:
-            raise InternalConsistencyError(
-                f"closure of the star class must be the star class, got {sorted(closure)}"
-            )
-    closure_size = len(closure)
+        closure = members if star else graph.closure(members, _candidates=_neighborhood)
+        closure_size = len(closure)
+        closure_is_class_and_identity = closure == members | {g.identity}
 
     pp_closure = as_prime_power(closure_size)
     is_critical = (
         not star
-        and closure == (members | {g.identity})
+        and closure_is_class_and_identity
         and pp_closure is not None
         and pp_closure.k >= 2
     )

@@ -79,9 +79,11 @@ def validate(params: MetacyclicParams) -> ParamFlags:
     violation = metacyclic_violation(p, a, q, b, r)
     if violation is not None:
         return ParamFlags(False, False, False, False, violation)
-    pa, qb = p**a, q**b
-    eppo = multiplicative_order(r, pa) == qb
-    frob = multiplicative_order(r, p) == qb
+    # q is prime, so r has order q^b modulo m = p^a (eppo) or m = p
+    # (frobenius) iff r^(q^b) = 1 and r^(q^(b-1)) != 1 mod m; nothing is factored
+    qb, pa = q**b, p**a
+    eppo = pow(r, qb, pa) == 1 and pow(r, qb // q, pa) != 1
+    frob = pow(r, qb, p) == 1 and pow(r, qb // q, p) != 1
     return ParamFlags(True, eppo, frob, frob and a >= 2 and b >= 2)
 
 
@@ -127,8 +129,8 @@ def recognize_critical_structure(group: Group) -> FrobeniusStructure | None:
     Succeeds iff the order is p^a * q^b with a, b >= 2, the kernel-prime
     Sylow subgroup is cyclic and normal (hence unique), some Sylow
     subgroup for the other prime is cyclic, and conjugation of the
-    complement on the kernel is fixed-point-free.  Fixed-point-freeness is
-    checked element by element.
+    complement on the kernel is fixed-point-free.  Both are read off the
+    orders of the cyclic subgroups.
     """
     if group.order > max_materialize():
         raise ScaleError(f"structure recognition unsupported at order {group.order}")
@@ -145,28 +147,19 @@ def recognize_critical_structure(group: Group) -> FrobeniusStructure | None:
 
 
 def _try_structure(group: Group, p: int, a: int, q: int, b: int) -> FrobeniusStructure | None:
-    pa, qb = p**a, q**b
-    kernel_gen = next((g for g in range(group.order) if group.element_order(g) == pa), None)
-    if kernel_gen is None:
+    # A cyclic Sylow p-subgroup is normal iff no conjugate differs from it,
+    # i.e. iff it is the only cyclic subgroup of order p^a.  The complement
+    # acts fixed-point-freely iff no q-element commutes with a p-element,
+    # i.e. iff no element order is divisible by pq.
+    poset = group.cyclic_poset()
+    orders = [len(pw) for pw in poset.powers]
+    kernels = [s for s, o in enumerate(orders) if o == p**a]
+    complement = next((s for s, o in enumerate(orders) if o == q**b), None)
+    if len(kernels) != 1 or complement is None or any(o % (p * q) == 0 for o in orders):
         return None
-    kernel = group.members(kernel_gen)
-    for t in range(group.order):
-        if group.mul(group.mul(group.inv(t), kernel_gen), t) not in kernel:
-            return None
-    comp_gen = next((g for g in range(group.order) if group.element_order(g) == qb), None)
-    if comp_gen is None:
-        return None
-    identity = group.identity
-    for h in group.members(comp_gen):
-        if h == identity:
-            continue
-        hi = group.inv(h)
-        for k in kernel:
-            if k != identity and group.mul(group.mul(hi, k), h) == k:
-                return None
     return FrobeniusStructure(
-        kernel=cyclic_subgroup(group, kernel_gen),
-        complement=cyclic_subgroup(group, comp_gen),
+        kernel=cyclic_subgroup(group, poset.least[kernels[0]]),
+        complement=cyclic_subgroup(group, poset.least[complement]),
         p=p,
         a=a,
         q=q,

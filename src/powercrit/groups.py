@@ -27,8 +27,10 @@ backends enumerate directly instead of scanning the whole group.
 At or below the materialization threshold every group answers its
 cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
 powers of each cyclic subgroup once rather than once per element.  The
-threshold bounds that poset and its n-bit rows; the cyclic, dihedral,
-quaternion and direct-product constructors refuse larger orders.
+threshold bounds that poset, whose per-element lists grow with the order
+n and whose k comparability masks take k^2 bits for k cyclic subgroups;
+the cyclic, dihedral, quaternion and direct-product constructors refuse
+larger orders.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ __all__ = [
     "max_materialize",
     "maximal_cyclic_subgroups",
     "metacyclic_violation",
+    "require_materialized",
     "spot_check_axioms",
 ]
 
-# Bounds the cyclic-subgroup poset: one n-bit row per cyclic subgroup.
+# Bounds the cyclic-subgroup poset: lists over the n elements and one
+# k-bit comparability mask per cyclic subgroup.
 DEFAULT_MAX_MATERIALIZE = 4096
 # Lazy walks (a metacyclic centralizer over j < q^b, the powers of one
 # element) take about half a second at this length; longer ones are refused.
@@ -90,6 +94,13 @@ def max_materialize() -> int:
         raise SettingError(
             f"POWERCRIT_MAX_MATERIALIZE must be an integer, got {text!r}"
         ) from None
+
+
+def require_materialized(group: Group, what: str, hint: str = "") -> None:
+    """Refuse `what` on a group past the materialization threshold."""
+    cap = max_materialize()
+    if group.order > cap:
+        raise ScaleError(f"{what} needs materialized mode: order {group.order} exceeds threshold {cap}{hint}")
 
 
 class Group(ABC):
@@ -707,16 +718,18 @@ class CyclicPoset:
     Walking the elements in index order, each element not yet seen
     generates a new cyclic subgroup and is its least generator.  Subgroup
     ids follow that walk: ``sub_of[a]`` is the id of <a>, ``least[s]`` the
-    least generator of s, ``powers[s]`` its powers (1, g, g^2, ...) and
-    ``exp_of[a]`` the k with a = g^k.  <g> of order o contains exactly one
-    subgroup of each order d dividing o, namely <g^(o/d)>, so containment
-    is read off each subgroup's powers at its divisor positions.
+    least generator of s, ``gens[s]`` all its generators, ``powers[s]``
+    its powers (1, g, g^2, ...) and ``exp_of[a]`` the k with a = g^k.  <g>
+    of order o contains exactly one subgroup of each order d dividing o,
+    namely <g^(o/d)>, so containment is read off each subgroup's powers at
+    its divisor positions.
 
-    ``rows[s]`` is the closed power-graph neighbourhood shared by every
-    generator of s, as a bitmask: the members of s together with the
-    generators of every subgroup above it.  ``masks[s]`` holds the members
-    alone.  ``maxima`` lists the maximal subgroups by descending order,
-    then least generator.
+    The k subgroups are the nodes of every materialized power-graph query.
+    The members of <x> generate the subgroups of <x>, so N[x] is the union
+    of the generator sets of the subgroups comparable with <x>.  ``comp[s]``
+    is that comparability set as a k-bit mask: bit t is set iff t lies
+    above or below s (s included).  ``maxima`` lists the maximal subgroups
+    by descending order, then least generator.
     """
 
     def __init__(self, group: Group):
@@ -724,35 +737,40 @@ class CyclicPoset:
         sub_of = [-1] * n
         exp_of = [0] * n
         least: list[int] = []
+        gens: list[tuple[int, ...]] = []
         powers: list[tuple[int, ...]] = []
-        gen_masks: list[int] = []
+        units_of: dict[int, list[int]] = {}
         for x in range(n):
             if sub_of[x] >= 0:
                 continue
-            pw = tuple(group.index_of(w) for w in group.word_powers(group.word_of(x)))
-            units = _units(len(pw))
+            pw = tuple(map(group.index_of, group.word_powers(group.word_of(x))))
+            units = units_of.get(len(pw))
+            if units is None:
+                units = units_of[len(pw)] = _units(len(pw))
             for k in units:
                 sub_of[pw[k]] = len(powers)
                 exp_of[pw[k]] = k
             least.append(x)
+            gens.append(tuple(pw[k] for k in units))
             powers.append(pw)
-            gen_masks.append(sum(1 << pw[k] for k in units))
-        masks = [sum(1 << i for i in pw) for pw in powers]
-        rows = list(masks)
+        comp = [1 << s for s in range(len(powers))]
         maximal = [True] * len(powers)
         for t, pw in enumerate(powers):
-            o = len(pw)
+            o, bit_t, down = len(pw), 1 << t, 0
             for k in range(2, o + 1):
                 if o % k == 0:
                     below = sub_of[pw[k % o]]
-                    rows[below] |= gen_masks[t]
+                    down |= 1 << below
+                    comp[below] |= bit_t
                     maximal[below] = False
+            comp[t] |= down
         self.sub_of = sub_of
         self.exp_of = exp_of
         self.least = least
+        self.gens = gens
         self.powers = powers
-        self.masks = masks
-        self.rows = rows
+        self.comp = comp
+        self.full = (1 << len(powers)) - 1
         self.maxima = sorted(
             (s for s, top in enumerate(maximal) if top),
             key=lambda s: (-len(powers[s]), least[s]),
@@ -778,8 +796,40 @@ class CyclicPoset:
     def generators(self, s: int) -> frozenset[int]:
         got = self._generators[s]
         if got is None:
-            got = self._generators[s] = _generators(self.powers[s])
+            got = self._generators[s] = frozenset(self.gens[s])
         return got
+
+    # -- node masks -----------------------------------------------------------
+
+    def meet(self, mask: int) -> int:
+        """The nodes comparable with every node of `mask`, as a mask; all
+        nodes for the empty mask.  On elements: the common neighbourhood
+        of the union of the nodes' generator sets."""
+        comp, out = self.comp, self.full
+        while mask:
+            bit = mask & -mask
+            out &= comp[bit.bit_length() - 1]
+            mask ^= bit
+        return out
+
+    def expand(self, mask: int) -> frozenset[int]:
+        """The elements generating the nodes of `mask`."""
+        gens, out = self.gens, []
+        while mask:
+            bit = mask & -mask
+            out.extend(gens[bit.bit_length() - 1])
+            mask ^= bit
+        return frozenset(out)
+
+    def size(self, mask: int) -> int:
+        """The number of elements generating the nodes of `mask`: the sum of
+        phi(|s|) over its nodes s."""
+        gens, total = self.gens, 0
+        while mask:
+            bit = mask & -mask
+            total += len(gens[bit.bit_length() - 1])
+            mask ^= bit
+        return total
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,15 @@ def cyclic_partition(group: Group) -> PartitionResult:
     maxes = maximal_cyclic_subgroups(group)
     if sum(m.order - 1 for m in maxes) == group.order - 1:
         return PartitionResult(tuple(maxes), None)
+    # a maximal node's comparability mask is its down-set: the cyclic
+    # subgroups it contains, numbered by least generator
     poset = group.cyclic_poset()
-    masks = [poset.masks[poset.sub_of[m.generator]] & ~(1 << group.identity) for m in maxes]
+    non_identity = ~(1 << poset.sub_of[group.identity])
+    downs = [poset.comp[poset.sub_of[m.generator]] & non_identity for m in maxes]
     k = len(maxes)
-    i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if masks[i] & masks[j])
-    shared = masks[i] & masks[j]
-    return PartitionResult(None, (maxes[i], maxes[j], (shared & -shared).bit_length() - 1))
+    i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if downs[i] & downs[j])
+    shared = downs[i] & downs[j]
+    return PartitionResult(None, (maxes[i], maxes[j], poset.least[(shared & -shared).bit_length() - 1]))
 
 
 def hughes_thompson(group: Group, p: int, within=None) -> frozenset[int]:

@@ -2,13 +2,15 @@
 
 Two operating modes:
 
-* materialized (order <= the threshold): one Python-int bitmask per
-  vertex, bit y of row x set iff y lies in the closed neighbourhood of x.
-  N[x] depends only on <x>, so the rows are read off the group's
-  cyclic-subgroup poset (:class:`~powercrit.groups.CyclicPoset`), one row
-  per cyclic subgroup shared by its generators; the same-generator
-  (diamond) partition is the poset's nodes.  All the set algebra (common
-  neighbourhoods, closures, star vertices, twin classes) is then bitwise.
+* materialized (order <= the threshold): every query runs on the k
+  nodes of the group's cyclic-subgroup poset
+  (:class:`~powercrit.groups.CyclicPoset`).  N[x] is the union of the
+  generator sets of the subgroups comparable with <x>, so it is one k-bit
+  comparability mask shared by the generators of <x>.  Closed twins are
+  the subgroups with equal masks, star vertices generate the subgroups
+  whose mask is full, and a closure N[N[X]] is two AND folds over node
+  masks; an element set is expanded from generator sets only where one
+  is returned.  The same-generator (diamond) partition is the nodes.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x short-circuits on order
   divisibility and then costs one set lookup: either the other element
@@ -29,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .groups import Group, generated_subgroup_words, max_materialize
-from .numtheory import as_prime_power, factorize
+from .groups import CyclicPoset, Group, generated_subgroup_words, max_materialize
+from .numtheory import as_prime_power
 
 __all__ = [
     "PowerGraph",
@@ -94,17 +96,16 @@ class PowerGraph:
         if materialize is None:
             materialize = group.order <= max_materialize()
         self.materialized = bool(materialize)
-        self._rows: list[int] | None = None
+        self._poset: CyclicPoset | None = None
         self._erows: list[int] | None = None
         self._twin: TwinPartition | None = None
         self._diamond: TwinPartition | None = None
         self._fixed_cache: dict[int, _Fixed] = {}
         self._class_records: dict[int, object] = {}
+        self._class_masks: list[int] = []
         self._closures: dict[int, frozenset[int]] = {}
         if self.materialized:
-            poset = group.cyclic_poset()
-            self._rows = [poset.rows[s] for s in poset.sub_of]
-            self._full = (1 << group.order) - 1
+            self._poset = group.cyclic_poset()
 
     @property
     def mode(self) -> str:
@@ -112,14 +113,14 @@ class PowerGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _require_materialized(self, what: str):
-        if not self.materialized:
+    def _require_materialized(self, what: str) -> CyclicPoset:
+        if self._poset is None:
             raise ScaleError(
                 f"{what} needs materialized mode (order {self.group.order}, "
                 f"threshold {max_materialize()}); use per-element operations "
                 "such as element_n_class instead"
             )
-        return self._rows
+        return self._poset
 
     def _fixed(self, x: int) -> _Fixed:
         fx = self._fixed_cache.get(x)
@@ -130,17 +131,20 @@ class PowerGraph:
         return fx
 
     def _common_mask(self, xs) -> int:
-        """The AND of the rows of xs: their common neighbourhood as a bitmask."""
-        rows, m = self._rows, self._full
+        """The AND of the comparability masks of xs: their common
+        neighbourhood as a node mask."""
+        poset = self._poset
+        comp, sub_of, m = poset.comp, poset.sub_of, poset.full
         for x in xs:
-            m &= rows[x]
+            m &= comp[sub_of[x]]
         return m
 
     # -- adjacency ------------------------------------------------------------
 
     def adjacent_or_equal(self, x: int, y: int) -> bool:
-        if self._rows is not None:
-            return bool((self._rows[x] >> y) & 1)
+        poset = self._poset
+        if poset is not None:
+            return bool((poset.comp[poset.sub_of[x]] >> poset.sub_of[y]) & 1)
         g = self.group
         fx = self._fixed(x)
         wy = g.word_of(y)
@@ -155,8 +159,9 @@ class PowerGraph:
     def closed_neighborhood(self, x: int) -> frozenset[int]:
         """N[x]: x together with everything adjacent to it; lazily, one
         pass over C(x)."""
-        if self._rows is not None:
-            return _bits_to_set(self._rows[x])
+        poset = self._poset
+        if poset is not None:
+            return poset.expand(poset.comp[poset.sub_of[x]])
         g = self.group
         fx = self._fixed(x)
         return frozenset(map(g.index_of, self._common([fx], g.centralizer_words(fx.word))))
@@ -167,8 +172,8 @@ class PowerGraph:
         Lazily, one pass over C(x0) for the x0 in xs of largest order.
         """
         xs = frozenset(xs)
-        if self._rows is not None:
-            return _bits_to_set(self._common_mask(xs))
+        if self._poset is not None:
+            return self._poset.expand(self._common_mask(xs))
         if not xs:
             raise ScaleError(
                 "common neighbourhood of the empty set is the whole group; "
@@ -187,20 +192,17 @@ class PowerGraph:
         x0 in xs; otherwise the closure lies in N[z0] for any z0 in the
         common neighbourhood, and one pass over C(z0) finds it.
 
-        Materialized, the closure depends only on the common neighbourhood
-        m, so it is computed and decoded once per distinct m and kept.
+        Materialized, the closure is the set of nodes comparable with every
+        node of the common neighbourhood's node mask m.  It depends only on
+        m, so it is computed and expanded once per distinct m and kept.
         """
         xs = frozenset(xs)
-        if self._rows is not None:
+        poset = self._poset
+        if poset is not None:
             m = self._common_mask(xs)
             hat = self._closures.get(m)
             if hat is None:
-                out, rest = self._full, m
-                while rest:
-                    bit = rest & -rest
-                    out &= self._rows[bit.bit_length() - 1]
-                    rest ^= bit
-                hat = _bits_to_set(out)
+                hat = poset.expand(poset.meet(m))
                 if len(self._closures) < _CACHE_CAP:
                     self._closures[m] = hat
             return hat
@@ -274,9 +276,9 @@ class PowerGraph:
 
     def star_vertices(self) -> frozenset[int]:
         """Elements whose closed neighbourhood is the whole group."""
-        if self._rows is not None:
-            full = self._full
-            return frozenset(x for x in range(self.group.order) if self._rows[x] == full)
+        poset = self._poset
+        if poset is not None:
+            return poset.expand(sum(1 << s for s, c in enumerate(poset.comp) if c == poset.full))
         return self._star_lazy()
 
     def _star_lazy(self) -> frozenset[int]:
@@ -290,8 +292,8 @@ class PowerGraph:
                 return frozenset(range(g.order))
             gen = next(rank for rank, w in g.scan() if g.word_order(w) == g.order)
             return frozenset({g.identity}) | g.cyclic_generators(gen)
-        fact = factorize(g.order)
-        if len(fact) == 1 and fact[0][0] == 2 and g.order >= 8:
+        n = g.order
+        if n >= 8 and n & (n - 1) == 0:
             involutions = [rank for rank, w in g.scan() if g.word_order(w) == 2]
             if len(involutions) == 1:
                 return frozenset({g.identity, involutions[0]})
@@ -302,18 +304,35 @@ class PowerGraph:
     def twin_partition(self) -> TwinPartition:
         """Partition of the group into closed-twin classes (equal N[x])."""
         if self._twin is None:
-            rows = self._require_materialized("twin partition")
-            buckets: dict[int, list[int]] = {}
-            for x in range(self.group.order):
-                buckets.setdefault(rows[x], []).append(x)
-            self._twin = _partition_from_buckets(buckets, self.group.order)
+            poset = self._require_materialized("twin partition")
+            # nodes are walked in id order, i.e. by least generator, so the
+            # classes come out ordered by least member
+            cids: dict[int, int] = {}
+            cid_of_node = [cids.setdefault(c, len(cids)) for c in poset.comp]
+            members: list[list[int]] = [[] for _ in cids]
+            self._class_masks = [0] * len(cids)
+            for s, cid in enumerate(cid_of_node):
+                members[cid].extend(poset.gens[s])
+                self._class_masks[cid] |= 1 << s
+            self._twin = TwinPartition(
+                classes=tuple(map(frozenset, members)),
+                class_of=tuple(map(cid_of_node.__getitem__, poset.sub_of)),
+            )
         return self._twin
+
+    def class_mask(self, members) -> int:
+        """The node mask of the twin class `members`; ValueError if
+        `members` is not a closed-twin class (materialized mode)."""
+        twin = self.twin_partition()
+        cid = twin.class_of[min(members)]
+        if twin.classes[cid] != members:
+            raise ValueError(f"{sorted(members)} is not a closed-twin class of {self.group.descriptor}")
+        return self._class_masks[cid]
 
     def diamond_partition(self) -> TwinPartition:
         """Partition into classes generating the same cyclic subgroup."""
         if self._diamond is None:
-            self._require_materialized("diamond partition")
-            poset = self.group.cyclic_poset()
+            poset = self._require_materialized("diamond partition")
             # subgroup ids follow the least generator, as class order must
             classes = tuple(poset.generators(s) for s in range(len(poset.powers)))
             self._diamond = TwinPartition(classes=classes, class_of=tuple(poset.sub_of))
@@ -331,7 +350,7 @@ class PowerGraph:
         pass: an element separating c from x lies in C(x) or C(c), so in
         C(x0) for x0 generating the least non-trivial subgroup of <x>.
         """
-        if self._rows is not None:
+        if self._poset is not None:
             return self.twin_partition().class_containing(x)
         g = self.group
         if x == g.identity:
@@ -381,11 +400,10 @@ class PowerGraph:
         the rows come from one sweep over those subgroups.
         """
         if self._erows is None:
-            self._require_materialized("enhanced power graph rows")
-            poset = self.group.cyclic_poset()
+            poset = self._require_materialized("enhanced power graph rows")
             erows = [0] * self.group.order
             for s in poset.maxima:
-                mask = poset.masks[s]
+                mask = sum(1 << m for m in poset.powers[s])
                 for m in poset.powers[s]:
                     erows[m] |= mask
             self._erows = erows
@@ -400,9 +418,6 @@ class PowerGraph:
         if rec is None:
             members = self.twin_partition().classes[cid]
             rec = self._class_records[cid] = classify(self, members)
-            # the record is what is kept: the members share one row, so the
-            # closure memo entry it left under that row is dropped again
-            self._closures.pop(self._rows[next(iter(members))], None)
         return rec
 
     def strict_overgroups(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
@@ -413,31 +428,21 @@ class PowerGraph:
         return frozenset(y for y in nb if g.element_order(y) > ox)
 
 
-def _partition_from_buckets(buckets: dict, order: int) -> TwinPartition:
-    # Iteration over buckets follows first insertion, i.e. least member.
-    classes = tuple(frozenset(v) for v in buckets.values())
-    class_of = [0] * order
-    for cid, members in enumerate(classes):
-        for x in members:
-            class_of[x] = cid
-    return TwinPartition(classes=classes, class_of=tuple(class_of))
-
-
-def _bits_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return frozenset(out)
-
-
 # -- exports -------------------------------------------------------------------
 
 _PALETTE = (
     "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3", "#fdb462",
     "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd", "#ccebc5", "#ffed6f",
 )
+
+
+def _rows(graph: PowerGraph, kind: str) -> list[int]:
+    """One n-bit closed-neighbourhood row per element, for exports only."""
+    if kind == "enhanced":
+        return graph.enhanced_rows()
+    poset = graph._require_materialized("graph export")
+    node_rows = [sum(1 << x for x in poset.expand(c)) for c in poset.comp]
+    return [node_rows[s] for s in poset.sub_of]
 
 
 def _edge_list(rows: list[int]) -> list[list[int]]:
@@ -455,7 +460,7 @@ def _edge_list(rows: list[int]) -> list[list[int]]:
 
 def export_json_graph(graph: PowerGraph, kind: str = "power") -> dict:
     """Edge-list export: {vertices: [{id, order}], edges: [[i, j]]}, sorted."""
-    rows = graph.enhanced_rows() if kind == "enhanced" else graph._require_materialized("graph export")
+    rows = _rows(graph, kind)
     g = graph.group
     return {
         "vertices": [{"id": i, "order": g.element_order(i)} for i in range(g.order)],
@@ -469,7 +474,7 @@ def export_dot(graph: PowerGraph, kind: str = "power") -> str:
     Vertex ordering, cluster numbering and colours are all deterministic,
     so identical invocations give byte-identical output.
     """
-    rows = graph.enhanced_rows() if kind == "enhanced" else graph._require_materialized("graph export")
+    rows = _rows(graph, kind)
     g = graph.group
     twin = graph.twin_partition()
     lines = [f'graph "{kind}({g.descriptor})" {{']

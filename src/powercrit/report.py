@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
-from .groups import Group, exponent_and_pi, is_maximal_element, max_materialize
+from .groups import Group, exponent_and_pi, is_maximal_element, require_materialized
 from .partitions import cyclic_partition
 from .power_graph import PowerGraph
 
@@ -312,15 +312,9 @@ def _params_dict(group: Group, params) -> dict | None:
 
 def analyze_group(group: Group, graph: PowerGraph | None = None) -> dict:
     """Full analysis report for one group (materialized scale)."""
-    from .errors import ScaleError
     from .frobenius import recognize_critical_structure
 
-    cap = max_materialize()
-    if group.order > cap:
-        raise ScaleError(
-            f"full analysis needs materialized mode: order {group.order} exceeds "
-            f"threshold {cap}; use a per-element query instead"
-        )
+    require_materialized(group, "full analysis", "; use a per-element query instead")
     graph = graph if graph is not None else PowerGraph(group)
     pi, is_eppo = exponent_and_pi(group)
     star = sorted(graph.star_vertices())

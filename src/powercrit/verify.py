@@ -202,7 +202,7 @@ def suite_criticality(family: list[Group]) -> SuiteResult:
         if group.order <= CLOSURE_ORDER_CAP:
             erows = graph.enhanced_rows()
             res.check(
-                all(graph._rows[x] & ~erows[x] == 0 for x in range(group.order)),
+                all((erows[x] >> y) & 1 for x in range(group.order) for y in graph.closed_neighborhood(x)),
                 f"{group.descriptor}: power-graph edge missing from the enhanced graph",
             )
     for n in range(2, 61):

@@ -78,6 +78,79 @@ def brute_rows(group: Group) -> list[int]:
     return rows
 
 
+def brute_row_closure(rows: list[int], xs) -> int:
+    """N[N[xs]] as a bitmask: the AND of the rows of xs, then the AND of
+    the rows of every element in that common neighbourhood."""
+    full = (1 << len(rows)) - 1
+    common = full
+    for x in xs:
+        common &= rows[x]
+    hat = full
+    for z in range(len(rows)):
+        if (common >> z) & 1:
+            hat &= rows[z]
+    return hat
+
+
+def brute_twin_classes(rows: list[int]) -> tuple[frozenset[int], ...]:
+    """Elements bucketed by equal rows, classes in least-member order."""
+    buckets: dict[int, list[int]] = {}
+    for x, row in enumerate(rows):
+        buckets.setdefault(row, []).append(x)
+    return tuple(frozenset(v) for v in buckets.values())
+
+
+def _is_prime_power_ge2(n: int) -> bool:
+    """n = p^r with r >= 2, by trial division."""
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
+        return False
+    r = 0
+    while n % p == 0:
+        n, r = n // p, r + 1
+    return n == 1 and r >= 2
+
+
+def brute_class_record(group: Group, rows: list[int], members) -> tuple:
+    """(size, kind, is_critical, closure_size, is_star_class) of a twin
+    class straight from the definitions, on brute-force rows."""
+    hat = brute_row_closure(rows, members)
+    star = group.identity in members
+    own = sum(1 << x for x in members)
+    plain = len({frozenset(brute_powers(group, x)) for x in members}) == 1
+    size = bin(hat).count("1")
+    critical = not star and hat == own | 1 << group.identity and _is_prime_power_ge2(size)
+    return (len(members), "plain" if plain else "compound", critical, size, star)
+
+
+def brute_try_structure(group: Group, p: int, a: int, q: int, b: int):
+    """(kernel generator, complement generator) or None, element by element:
+    the kernel is the cyclic subgroup of the first element of order p^a,
+    normal iff every conjugate of its generator stays in it; the
+    complement, of the first element of order q^b, must fix no non-identity
+    kernel element under conjugation."""
+    pa, qb = p**a, q**b
+    kernel_gen = next((g for g in range(group.order) if group.element_order(g) == pa), None)
+    if kernel_gen is None:
+        return None
+    kernel = group.members(kernel_gen)
+    for t in range(group.order):
+        if group.mul(group.mul(group.inv(t), kernel_gen), t) not in kernel:
+            return None
+    comp_gen = next((g for g in range(group.order) if group.element_order(g) == qb), None)
+    if comp_gen is None:
+        return None
+    identity = group.identity
+    for h in group.members(comp_gen):
+        if h == identity:
+            continue
+        hi = group.inv(h)
+        for k in kernel:
+            if k != identity and group.mul(group.mul(hi, k), h) == k:
+                return None
+    return kernel_gen, comp_gen
+
+
 def _brute_subgroups(group: Group) -> dict[frozenset[int], list[int]]:
     # member set -> generators, both in index order
     subs: dict[frozenset[int], list[int]] = {}

@@ -3,6 +3,7 @@
 import os
 import time
 
+from conftest import brute_rows
 from powercrit import (
     PowerGraph,
     census,
@@ -158,10 +159,12 @@ def test_criterion_7_oracle_equivalences():
         mat = PowerGraph(group)
         lazy = PowerGraph(group, materialize=False)
         n = group.order
+        rows = brute_rows(group)
         for x in range(n):
-            row = mat._rows[x]
+            row = rows[x]
+            assert mat.closed_neighborhood(x) == frozenset(y for y in range(n) if (row >> y) & 1)
             for y in range(n):
-                assert lazy.adjacent_or_equal(x, y) == bool((row >> y) & 1), (
+                assert lazy.adjacent_or_equal(x, y) == mat.adjacent_or_equal(x, y) == bool((row >> y) & 1), (
                     group.descriptor,
                     x,
                     y,

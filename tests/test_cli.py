@@ -223,6 +223,49 @@ def test_exit_code_scale_error_before_the_work(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+def test_huge_lazy_metacyclic_identity_is_not_factored(capsys):
+    # p = 2^61 - 1: the star-set shortcut reads the order's bits instead of
+    # factoring the order
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "analyze",
+        "M:2305843009213693951,1,2,1,2305843009213693950",
+        "--element",
+        "(0,0)",
+        "--json",
+        "--stable",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["is_star_class"] is True and doc["n_class_size"] == 1
+
+
+def test_materialized_scale_messages(capsys):
+    # one guard behind analyze, export and analyze_group, each with its own text
+    from powercrit import ScaleError
+    from powercrit.report import analyze_group
+
+    assert run(capsys, "analyze", "S:8") == (
+        3,
+        "",
+        "error: full analysis needs materialized mode: order 40320 exceeds threshold 4096; "
+        "use --element for per-element queries\n",
+    )
+    assert run(capsys, "export", "S:8", "--format", "json") == (
+        3,
+        "",
+        "error: graph export needs materialized mode: order 40320 exceeds threshold 4096\n",
+    )
+    with pytest.raises(ScaleError) as err:
+        analyze_group(make_symmetric(8))
+    assert str(err.value) == (
+        "full analysis needs materialized mode: order 40320 exceeds threshold 4096; "
+        "use a per-element query instead"
+    )
+
+
 def test_census_verification_guard_spares_unverified_orders(capsys):
     # orders past the threshold are listed, and only those up to
     # --verify-up-to are rebuilt

@@ -1,7 +1,9 @@
 import dataclasses
+import time
 
 import pytest
 
+from conftest import brute_try_structure
 from powercrit import (
     MetacyclicParams,
     PowerGraph,
@@ -16,6 +18,9 @@ from powercrit import (
     recognize_critical_structure,
     validate,
 )
+from powercrit.frobenius import _try_structure
+from powercrit.numtheory import factorize
+from powercrit.verify import builtin_family
 
 
 def test_validate_minimum_critical_tuple():
@@ -149,6 +154,50 @@ def test_census_critical_round_trip():
         m = e.params
         fs = recognize_critical_structure(make_metacyclic(m.p, m.a, m.q, m.b, m.r))
         assert fs is not None and (fs.p, fs.a, fs.q, fs.b) == (m.p, m.a, m.q, m.b)
+
+
+def test_validate_huge_prime_without_factoring():
+    # p = 2^61 - 1: the orders of r are decided by two modular powers each
+    started = time.perf_counter()
+    flags = validate(MetacyclicParams(2305843009213693951, 1, 2, 1, 2305843009213693950))
+    assert time.perf_counter() - started < 1.0
+    assert flags.well_defined and flags.eppo and flags.frobenius and not flags.critical
+
+
+def test_validate_orders_match_multiplicative_order():
+    checked = 0
+    for e in census(1200, all_r=True):
+        if not e.flags.well_defined:
+            continue
+        m = e.params
+        qb = m.q**m.b
+        assert e.flags.eppo == (multiplicative_order(m.r, m.p**m.a) == qb), m
+        assert e.flags.frobenius == (multiplicative_order(m.r, m.p) == qb), m
+        checked += 1
+    assert checked > 500
+
+
+def _structure_pairs(groups):
+    for group in groups:
+        fact = factorize(group.order)
+        if len(fact) == 2:
+            (p, a), (q, b) = fact
+            yield group, (p, a, q, b)
+            yield group, (q, b, p, a)
+
+
+def test_try_structure_matches_element_oracle():
+    census_groups = [
+        make_metacyclic(m.p, m.a, m.q, m.b, m.r)
+        for m in (e.params for e in census(1200, all_r=True) if e.flags.well_defined)
+    ]
+    found = 0
+    for group, pq in _structure_pairs(builtin_family(600) + census_groups):
+        fs = _try_structure(group, *pq)
+        got = None if fs is None else (fs.kernel.generator, fs.complement.generator)
+        assert got == brute_try_structure(group, *pq), (group.descriptor, pq)
+        found += fs is not None
+    assert found > 100
 
 
 # -- equivalence check ---------------------------------------------------------------------

@@ -1,21 +1,54 @@
 """The cyclic-subgroup poset against the element-by-element oracles."""
 
+import random
+
 import pytest
 
 from conftest import (
+    brute_class_record,
     brute_cyclic_partition,
     brute_diamond_classes,
     brute_maximal_cyclic_subgroups,
     brute_powers,
+    brute_row_closure,
     brute_rows,
+    brute_twin_classes,
 )
 from powercrit import (
     PowerGraph,
+    class_records,
     cyclic_partition,
     make_metacyclic,
     maximal_cyclic_subgroups,
     parse_group_spec,
 )
+from powercrit.verify import builtin_family
+
+
+def as_mask(members) -> int:
+    return sum(1 << x for x in members)
+
+
+def assert_node_graph_matches_rows(g, rng: random.Random, subsets: int) -> None:
+    """Every materialized query of the node-level graph against the
+    element-by-element rows."""
+    rows = brute_rows(g)
+    graph = PowerGraph(g)
+    full = (1 << g.order) - 1
+    twin = graph.twin_partition()
+    assert twin.classes == brute_twin_classes(rows)
+    assert all(x in twin.classes[twin.class_of[x]] for x in range(g.order))
+    assert graph.star_vertices() == frozenset(x for x, row in enumerate(rows) if row == full)
+    assert [as_mask(graph.closed_neighborhood(x)) for x in range(g.order)] == rows
+    samples = [frozenset()] + [
+        frozenset(rng.sample(range(g.order), rng.randint(1, min(g.order, 5)))) for _ in range(subsets)
+    ]
+    for xs in list(twin.classes) + samples:
+        assert as_mask(graph.closure(xs)) == brute_row_closure(rows, xs), (g.descriptor, sorted(xs))
+    got = [(r.size, r.kind, r.is_critical, r.closure_size, r.is_star_class) for r in class_records(graph)]
+    assert got == [brute_class_record(g, rows, members) for members in twin.classes]
+    assert [r.representative for r in class_records(graph)] == [min(c) for c in twin.classes]
+
 
 SPECS = [
     "C:1",
@@ -41,7 +74,7 @@ SPECS = [
 def test_poset_matches_brute_force(spec):
     g = parse_group_spec(spec)
     graph = PowerGraph(g)
-    assert graph._rows == brute_rows(g)
+    assert_node_graph_matches_rows(g, random.Random(spec), 30)
     assert graph.diamond_partition().classes == brute_diamond_classes(g)
     assert maximal_cyclic_subgroups(g) == brute_maximal_cyclic_subgroups(g)
     if g.order >= 2:
@@ -55,6 +88,12 @@ def test_poset_matches_brute_force(spec):
         assert g.cyclic_generators(x) == frozenset(
             y for y in pw if frozenset(brute_powers(g, y)) == frozenset(pw)
         )
+
+
+def test_node_graph_matches_brute_rows_on_builtin_family():
+    rng = random.Random(300)
+    for g in builtin_family(300):
+        assert_node_graph_matches_rows(g, rng, 3)
 
 
 def test_census_groups_cover_both_partition_outcomes():

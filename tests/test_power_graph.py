@@ -7,6 +7,7 @@ from conftest import (
     brute_closed_neighborhood,
     brute_closure,
     brute_edge_count,
+    brute_rows,
     brute_twin_class,
     cycle_type_element,
     integer_partitions,
@@ -303,8 +304,11 @@ def test_power_graph_subset_of_enhanced():
     for g in (S4, D30, Q8, M100):
         pg = PowerGraph(g)
         erows = pg.enhanced_rows()
+        rows = brute_rows(g)
         for x in range(g.order):
-            assert pg._rows[x] & ~erows[x] == 0
+            nb = pg.closed_neighborhood(x)
+            assert nb == frozenset(y for y in range(g.order) if (rows[x] >> y) & 1)
+            assert all((erows[x] >> y) & 1 for y in nb)
 
 
 # -- exports -----------------------------------------------------------------------------
