@@ -9,9 +9,11 @@ and carry no timestamps, so identical invocations are byte-identical;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
 from .groups import require_materialized
@@ -94,7 +96,71 @@ def main(argv=None) -> int:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`doc` as indent-2 JSON: the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, exactly.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder (the C
+    one serves only ``indent=None``), so the common types are written
+    here: dicts with str keys in sorted key order, lists, each member on
+    its own line two spaces deeper with ``","`` ending all but the last
+    and ``": "`` after a key, ``{}`` and ``[]`` when empty, str through
+    ``encode_basestring_ascii``, int through ``int.__repr__``, and
+    ``true``, ``false``, ``null``.  Anything else, floats such as
+    ``timing_ms`` and dicts with other keys included, goes through
+    json.dumps itself: NaN is spelled as json spells it, and a value json
+    cannot encode raises its ``TypeError``.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, newline: str, out: list[str]) -> None:
+    """Append `x` as indent-2 JSON whose lines start with `newline`."""
+    kind = type(x)
+    if kind is str:
+        out.append(encode_basestring_ascii(x))
+    elif kind is int:
+        out.append(int.__repr__(x))
+    elif kind is dict and x:
+        inner, open_dict, _, sep, close_dict, _ = _layout(newline)
+        start, lead = len(out), open_dict
+        for key in sorted(x):
+            if type(key) is not str:  # json's own key conversions
+                del out[start:]
+                out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", newline))
+                return
+            out.append(lead)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(x[key], inner, out)
+            lead = sep
+        out.append(close_dict)
+    elif kind is list and x:
+        inner, _, open_list, sep, _, close_list = _layout(newline)
+        lead = open_list
+        for item in x:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = sep
+        out.append(close_list)
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif x is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", newline))
+
+
+@functools.cache
+def _layout(newline: str) -> tuple[str, str, str, str, str, str]:
+    """The strings that open, separate and close the members of a container
+    whose own lines start with `newline`, built once per depth."""
+    inner = newline + "  "
+    return inner, "{" + inner, "[" + inner, "," + inner, newline + "}", newline + "]"
 
 
 def cmd_analyze(args) -> int:

@@ -165,14 +165,15 @@ def _compound_params(g: Group, members: frozenset[int], rep: int) -> CompoundPar
     return CompoundParams(p=p, r=r, s=s_size, root=root)
 
 
-def classify_element(graph: PowerGraph, x: int) -> NClassRecord:
-    """Classify the twin class of one element; works at lazy scale."""
+def classify_element(graph: PowerGraph, x: int, _neighborhood: frozenset[int] | None = None) -> NClassRecord:
+    """Classify the twin class of one element; works at lazy scale, where
+    a caller that has built N[x] may pass it."""
     if graph.materialized:
         return classify_class(graph, graph.twin_partition().class_containing(x))
     g = graph.group
     if x == g.identity:
         return classify_class(graph, graph.star_vertices())
-    nb = graph.closed_neighborhood(x)
+    nb = _neighborhood if _neighborhood is not None else graph.closed_neighborhood(x)
     cls = graph.element_n_class(x, _neighborhood=nb)
     return classify_class(graph, cls, _neighborhood=nb)
 

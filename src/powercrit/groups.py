@@ -154,7 +154,7 @@ class Group(ABC):
         poset = self._materialized_poset()
         if poset is not None:
             return poset.powers_of(a)
-        return tuple(self.index_of(w) for w in self.word_powers(self.word_of(a)))
+        return tuple(self.index_powers(a))
 
     def members(self, a: int) -> frozenset[int]:
         """The cyclic subgroup generated by a, as a set of indices."""
@@ -183,7 +183,12 @@ class Group(ABC):
         return a
 
     def is_cyclic(self) -> bool:
-        """True iff some element generates the whole group."""
+        """True iff some element generates the whole group: when
+        materialized, iff the largest maximal cyclic subgroup is the group;
+        otherwise one scan."""
+        poset = self._materialized_poset()
+        if poset is not None:
+            return len(poset.powers[poset.maxima[0]]) == self.order
         return any(self.word_order(w) == self.order for _, w in self.scan())
 
     # -- word API (backend-internal element encodings) ----------------------
@@ -220,17 +225,26 @@ class Group(ABC):
                 base = self.word_mul(base, base)
         return result
 
+    def index_powers(self, a: int) -> list[int]:
+        """(1, a, a^2, ...) as indices, from :meth:`word_powers` on every call."""
+        return self.word_powers(a)
+
     def word_powers(self, w) -> list:
         """Like :meth:`powers` but on words, walked on every call.  Above the
         threshold the order is read first, and a long walk refused."""
-        if not self._materialized and (o := self.word_order(w)) > MAX_CENTRALIZER_WALK:
-            raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
+        if not self._materialized:
+            self._check_walk(self.word_order(w))
         e = self.word_of(self.identity)
         seq, x = [e], w
         while x != e:
             seq.append(x)
             x = self.word_mul(x, w)
         return seq
+
+    def _check_walk(self, o: int) -> None:
+        """Refuse, above the threshold, to list the o powers of an element."""
+        if not self._materialized and o > MAX_CENTRALIZER_WALK:
+            raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
 
     def scan(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, object]]:
         """Iterate (index, word) over the rank range [lo, hi)."""
@@ -269,6 +283,18 @@ class RotationReflectionGroup(Group):
         m = self.m
         return -a % m if a < m else (a + self.twist) % m + m
 
+    def word_powers(self, w: int) -> list[int]:
+        """(1, w, w^2, ...) in closed form, with no product: a^i has order
+        m / gcd(i, m) and (a^i)^k = a^(ik); a reflection r squares to
+        a^twist, so r has order 2 under D and powers (1, r, a^twist, r^-1)
+        under Q."""
+        m = self.m
+        if w < m:
+            o = m // math.gcd(w, m)
+            self._check_walk(o)
+            return [w * k % m for k in range(o)]
+        return [0, w, self.twist, self.inv(w)] if self.twist else [0, w]
+
 
 # The bench tracer counts products through this name; it goes with the
 # bench change that reads spans and counters from the package.
@@ -289,6 +315,17 @@ class DirectProductGroup(Group):
     def inv(self, a: int) -> int:
         nh = self.h.order
         return self.g.inv(a // nh) * nh + self.h.inv(a % nh)
+
+    def word_powers(self, w: int) -> list[int]:
+        """(1, w, w^2, ...) with no product here: (g, h)^k = (g^k, h^k), so
+        the factors' power lists are zipped, each repeated, to the lcm of
+        their lengths."""
+        g, h, nh = self.g, self.h, self.h.order
+        pg, ph = g.index_powers(w // nh), h.index_powers(w % nh)
+        og, oh = len(pg), len(ph)
+        o = math.lcm(og, oh)
+        self._check_walk(o)
+        return [pg[k % og] * nh + ph[k % oh] for k in range(o)]
 
 
 def _scale_error(what: str, order, cap: int) -> ScaleError:
@@ -444,6 +481,9 @@ class PermutationGroup(Group):
 
     def inv(self, a: int) -> int:
         return self.index_of(self.word_inv(self.word_of(a)))
+
+    def index_powers(self, a: int) -> list[int]:
+        return [self.index_of(w) for w in self.word_powers(self.word_of(a))]
 
     def is_cyclic(self) -> bool:
         return self.degree <= 2
@@ -743,7 +783,7 @@ class CyclicPoset:
         for x in range(n):
             if sub_of[x] >= 0:
                 continue
-            pw = tuple(map(group.index_of, group.word_powers(group.word_of(x))))
+            pw = tuple(group.index_powers(x))
             units = units_of.get(len(pw))
             if units is None:
                 units = units_of[len(pw)] = _units(len(pw))
@@ -880,17 +920,21 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     ]
 
 
-def is_maximal_element(group: Group, x: int) -> bool:
+def is_maximal_element(group: Group, x: int, _neighborhood: frozenset[int] | None = None) -> bool:
     """True iff no element generates a strictly larger cyclic subgroup over x.
 
     Read off the poset maxima at or below the materialization threshold.
-    Otherwise one pass over C(x), which holds every cyclic overgroup of x;
-    each candidate is screened by order divisibility before the
-    membership lift.
+    Otherwise read off N[x] when the caller has built it: N[x] is <x> and
+    the generators of every cyclic overgroup of x, none of them in <x>,
+    so x is maximal iff |N[x]| = o(x).  Without it, one pass over C(x),
+    which holds every cyclic overgroup of x; each candidate is screened by
+    order divisibility before the membership lift.
     """
     poset = group._materialized_poset()
     if poset is not None:
         return poset.sub_of[x] in poset.maxima
+    if _neighborhood is not None:
+        return len(_neighborhood) == group.element_order(x)
     wx = group.word_of(x)
     pw = group.word_powers(wx)
     ox, gens = len(pw), _generators(pw)

@@ -4,9 +4,20 @@ Reports are plain dicts shaped for ``json.dumps(..., sort_keys=True)``.
 Nothing time-dependent lives inside the data payload: timing is a single
 optional top-level field that stable mode drops, so identical invocations
 serialize byte-identically.
+
+Every payload is checked before it is printed.  :func:`validate_document`
+compiles each schema once into nested closures, one per schema node, and
+keeps them with the schema object.  A scalar node first tests the exact
+Python type (and its minimum, or its string enum), which accepts only
+values the full Draft 7 keyword test accepts, and runs that test on
+anything else.  The JSON path of a failure is collected only as the
+error unwinds.  The keyword-by-keyword interpreter it replaced is the
+oracle in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
@@ -248,6 +259,33 @@ _TYPES = {
     ),
 }
 
+# Python types whose every value has the type name.  The test is on the
+# exact type, so a bool is never taken for a number; an integral float
+# passes "integer" only through the full test above.
+_EXACT = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "boolean": (bool,),
+    "null": (type(None),),
+    "number": (int, float),
+    "integer": (int,),
+}
+_LEAF_KEYWORDS = {"$schema", "type", "enum", "minimum"}
+
+# id(schema) -> (schema, its checker); holding the schema keeps its id unused
+_compiled: dict[int, tuple[dict, Callable[[object], None]]] = {}
+
+
+class _Invalid(Exception):
+    """A payload node failed its schema.  Each enclosing checker appends
+    its key to `path` as the exception passes, innermost key first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+        self.path: list = []
+
 
 def validate_document(doc: dict, schema: dict) -> None:
     """Check `doc` against one of the schemas above, with Draft 7 semantics.
@@ -256,52 +294,105 @@ def validate_document(doc: dict, schema: dict) -> None:
     list of names), ``properties``, ``required``, ``additionalProperties``
     (false only), ``items`` (one schema), ``enum`` (scalars; ``True`` is not
     ``1``), ``minimum``, ``minItems`` and ``maxItems``; ``$schema`` is
-    ignored.  The payloads are built here, so one that fails is a bug: the
-    error is an :class:`InternalConsistencyError` naming the JSON path.
+    ignored.  Each schema object is compiled into checker closures on first
+    use and must not change afterwards.  The payloads are built here, so
+    one that fails is a bug: the error is an
+    :class:`InternalConsistencyError` naming the JSON path.
     """
-    _check(doc, schema, None)
+    entry = _compiled.get(id(schema))
+    if entry is None:
+        entry = _compiled[id(schema)] = (schema, _compile(schema))
+    try:
+        entry[1](doc)
+    except _Invalid as exc:
+        steps = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in reversed(exc.path))
+        raise InternalConsistencyError(f"payload at ${steps}: {exc.message}") from None
 
 
-def _check(x, schema: dict, path) -> None:
-    t = schema.get("type")
-    if t is not None and not (
-        _TYPES[t](x) if isinstance(t, str) else any(_TYPES[name](x) for name in t)
-    ):
-        _fail(path, f"{x!r} is not of type {t!r}")
-    enum = schema.get("enum")
-    if enum is not None and not any(
-        v == x and isinstance(v, bool) == isinstance(x, bool) for v in enum
-    ):
-        _fail(path, f"{x!r} is not one of {enum!r}")
-    if isinstance(x, dict):
-        for key in schema.get("required", ()):
-            if key not in x:
-                _fail(path, f"required property {key!r} is missing")
-        props = schema.get("properties", {})
-        closed = schema.get("additionalProperties", True) is False
-        for key, value in x.items():
-            sub = props.get(key)
-            if sub is not None:
-                _check(value, sub, (path, key))
-            elif closed:
-                _fail(path, f"property {key!r} is not allowed")
-    elif isinstance(x, list):
-        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
-            _fail(path, f"length {len(x)} is out of range")
-        items = schema.get("items")
-        if items is not None:
-            for i, value in enumerate(x):
-                _check(value, items, (path, i))
-    elif "minimum" in schema and _TYPES["number"](x) and x < schema["minimum"]:
-        _fail(path, f"{x!r} is less than the minimum {schema['minimum']!r}")
+def _compile(schema: dict) -> Callable[[object], None]:
+    """A checker for `schema`, built on the checkers of its subschemas.
 
+    A checker raises :class:`_Invalid` at the first failure, in this order:
+    type, enum, minimum; then for an object each required property and
+    each of its properties in document order, for an array its length and
+    each item.  A node first tries a test on the exact Python type that
+    accepts only what the full keyword test accepts; the JSON path is
+    built only on failure.
+    """
+    t, enum, minimum = schema.get("type"), schema.get("enum"), schema.get("minimum")
+    names = (t,) if isinstance(t, str) else t
+    number = _TYPES["number"]
 
-def _fail(path, message: str):
-    steps = []
-    while path is not None:
-        path, key = path
-        steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
-    raise InternalConsistencyError(f"payload at ${''.join(reversed(steps))}: {message}")
+    def head(x):
+        if t is not None and not any(_TYPES[name](x) for name in names):
+            raise _Invalid(f"{x!r} is not of type {t!r}")
+        if enum is not None and not any(v == x and isinstance(v, bool) == isinstance(x, bool) for v in enum):
+            raise _Invalid(f"{x!r} is not one of {enum!r}")
+        if minimum is not None and number(x) and x < minimum:
+            raise _Invalid(f"{x!r} is less than the minimum {minimum!r}")
+
+    exact = None if t is None or enum is not None else frozenset(c for n in names for c in _EXACT[n])
+    if schema.keys() <= _LEAF_KEYWORDS:
+        if exact is not None and minimum is None:
+
+            def leaf(x):
+                if type(x) not in exact:
+                    head(x)
+
+        elif exact is not None and exact <= {int, float}:
+
+            def leaf(x):
+                if type(x) not in exact or not x >= minimum:
+                    head(x)
+
+        elif t is None and minimum is None and enum is not None and all(type(v) is str for v in enum):
+            values = frozenset(enum)
+
+            def leaf(x):
+                if type(x) is not str or x not in values:
+                    head(x)
+
+        else:
+            leaf = head
+        return leaf
+
+    if minimum is not None:
+        exact = None
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    required = tuple(schema.get("required", ()))
+    closed = schema.get("additionalProperties", True) is False
+    each = _compile(schema["items"]) if "items" in schema else None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems")
+
+    def check(x):
+        if exact is None or type(x) not in exact:
+            head(x)
+        if isinstance(x, dict):
+            for key in required:
+                if key not in x:
+                    raise _Invalid(f"required property {key!r} is missing")
+            for key, value in x.items():
+                sub = props.get(key)
+                if sub is not None:
+                    try:
+                        sub(value)
+                    except _Invalid as exc:
+                        exc.path.append(key)
+                        raise
+                elif closed:
+                    raise _Invalid(f"property {key!r} is not allowed")
+        elif isinstance(x, list):
+            if not lo <= len(x) <= (len(x) if hi is None else hi):
+                raise _Invalid(f"length {len(x)} is out of range")
+            if each is not None:
+                for i, value in enumerate(x):
+                    try:
+                        each(value)
+                    except _Invalid as exc:
+                        exc.path.append(i)
+                        raise
+
+    return check
 
 
 def _params_dict(group: Group, params) -> dict | None:
@@ -389,7 +480,9 @@ def element_report(group: Group, element: int | str) -> dict:
     """Single-element report; runs at lazy scale."""
     x = group.parse_element(element) if isinstance(element, str) else element
     graph = PowerGraph(group)
-    rec = classify_element(graph, x)
+    # lazily, N[x] is one walk over C(x); classification and maximality share it
+    nb = None if graph.materialized or x == group.identity else graph.closed_neighborhood(x)
+    rec = classify_element(graph, x, _neighborhood=nb)
     return {
         "group": group.descriptor,
         "order": group.order,
@@ -401,7 +494,7 @@ def element_report(group: Group, element: int | str) -> dict:
         "params": _params_dict(group, rec.params),
         "is_critical": rec.is_critical,
         "closure_size": rec.closure_size,
-        "is_maximal": is_maximal_element(group, x),
+        "is_maximal": is_maximal_element(group, x, _neighborhood=nb),
         "is_star_class": rec.is_star_class,
     }
 

@@ -12,6 +12,7 @@ import functools
 import numpy as np
 
 from powercrit import CyclicSubgroup, Group
+from powercrit.errors import InternalConsistencyError
 
 
 def brute_powers(group: Group, x: int) -> list[int]:
@@ -277,3 +278,71 @@ def assert_products_match_sampled(group: Group, oracle, generators, pairs: int =
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, n, size=(2, pairs))
     assert [group.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == oracle(a, b).tolist()
+
+
+# -- the payload schema interpreter ----------------------------------------------
+#
+# One recursive walk over document and schema together, keyword by keyword:
+# the oracle of report.validate_document, which compiles each schema into
+# closures instead.  Same keywords, same order of checks, same messages.
+
+# Draft 7 type names as jsonschema applies them: a bool is no number, and
+# an integral float is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (
+        isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
+    ),
+}
+
+
+def interpret_document(doc, schema: dict) -> None:
+    """Raise InternalConsistencyError, naming the JSON path, where `doc` fails `schema`."""
+    _check(doc, schema, None)
+
+
+def _check(x, schema: dict, path) -> None:
+    t = schema.get("type")
+    if t is not None and not (
+        _TYPES[t](x) if isinstance(t, str) else any(_TYPES[name](x) for name in t)
+    ):
+        _fail(path, f"{x!r} is not of type {t!r}")
+    enum = schema.get("enum")
+    if enum is not None and not any(
+        v == x and isinstance(v, bool) == isinstance(x, bool) for v in enum
+    ):
+        _fail(path, f"{x!r} is not one of {enum!r}")
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                _fail(path, f"required property {key!r} is missing")
+        props = schema.get("properties", {})
+        closed = schema.get("additionalProperties", True) is False
+        for key, value in x.items():
+            sub = props.get(key)
+            if sub is not None:
+                _check(value, sub, (path, key))
+            elif closed:
+                _fail(path, f"property {key!r} is not allowed")
+    elif isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            _fail(path, f"length {len(x)} is out of range")
+        items = schema.get("items")
+        if items is not None:
+            for i, value in enumerate(x):
+                _check(value, items, (path, i))
+    elif "minimum" in schema and _TYPES["number"](x) and x < schema["minimum"]:
+        _fail(path, f"{x!r} is less than the minimum {schema['minimum']!r}")
+
+
+def _fail(path, message: str):
+    steps = []
+    while path is not None:
+        path, key = path
+        steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    raise InternalConsistencyError(f"payload at ${''.join(reversed(steps))}: {message}")

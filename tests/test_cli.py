@@ -1,19 +1,26 @@
+import hashlib
 import json
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_edge_count
-from powercrit import make_symmetric
-from powercrit.cli import main
+from powercrit import PowerGraph, make_symmetric, parse_group_spec
+from powercrit.cli import _dump, main
+from powercrit.power_graph import export_json_graph
 from powercrit.report import (
     ANALYSIS_REPORT_SCHEMA,
     CENSUS_LINE_SCHEMA,
     ELEMENT_REPORT_SCHEMA,
     GRAPH_EXPORT_SCHEMA,
+    analyze_group,
+    element_report,
     validate_document,
 )
+from powercrit.verify import builtin_family
 
 
 def run(capsys, *argv):
@@ -306,3 +313,89 @@ def test_materialize_threshold_env_malformed(monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: POWERCRIT_MAX_MATERIALIZE must be an integer, got 'abc'\n"
+
+
+# -- the JSON byte contract ------------------------------------------------------------
+
+# SHA-256 of stdout, recorded before the indent-2 writer replaced json.dumps
+GOLDEN = {
+    ("analyze", "D:15", "--json", "--stable"): "88826cb497d548bab4bb4a0d591e9bcce58d1a6f3e0f2ec361c9ad30ddd7bd8c",
+    ("analyze", "Q:4", "--json", "--stable"): "486738d73fbbb98f1a27fdad32c96a1cad4933acf4f1df68815d1ba4b56a3526",
+    ("analyze", "M:5,2,2,2,7", "--json", "--stable"): "32e2d4b4b1d79e3589785fe3b059863d83e5ab76f0ca8b9ef6356158a85c1799",
+    ("analyze", "C:2 x C:6", "--json", "--stable"): "2b993a37eff04cef09ce2b12b78a91ee16ec97785c1f4a20911d8f6fd6877950",
+    ("analyze", "S:4", "--json", "--stable"): "37cff1bd104da01cef903901b41c25eaa7b2d1be4af37fb8fd0a145433d43efe",
+    ("analyze", "C:1", "--json", "--stable"): "fa6092a78857fab8cef333fb7eae89cfe0f574c9fe2e08223b69ae16cb668d28",
+    ("export", "S:4", "--format", "json", "--graph", "enhanced"): (
+        "4ad10a5ddbae7b64a7ed27dbd0bbe77df0a2379439eb5358fa0e4fb827813dc2"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_payload_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def oracle_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_matches_json_on_analyze_and_element_payloads():
+    for group in builtin_family(300):
+        doc = analyze_group(group)
+        assert _dump(doc) == oracle_dump(doc), group.descriptor
+        for ms in (0.0, 12.345, 1e-05, 86400000.5):
+            doc["timing_ms"] = ms
+            assert _dump(doc) == oracle_dump(doc), (group.descriptor, ms)
+    for spec, element in (
+        ("S:8", "(1 2 3)(4 5 6 7 8)"),
+        ("S:4", "(1 2)"),
+        ("S:4", "()"),
+        ("M:5,2,2,2,7", "(1,0)"),
+        ("D:15", "16"),
+    ):
+        doc = element_report(parse_group_spec(spec), element)
+        assert _dump(doc) == oracle_dump(doc), (spec, element)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:15"])
+@pytest.mark.parametrize("kind", ["power", "enhanced"])
+def test_writer_matches_json_on_graph_exports(spec, kind):
+    doc = export_json_graph(PowerGraph(parse_group_spec(spec)), kind)
+    assert _dump(doc) == oracle_dump(doc)
+
+
+TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u20ac\U0001d11e", "\ud800", "a\nb\tc"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | TEXT
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_writer_matches_json_on_generated_documents(doc):
+    assert _dump(doc) == oracle_dump(doc)
+
+
+def test_writer_hands_other_values_to_json():
+    # keys json converts, tuples as arrays, subclasses: json's own text
+    others = ({"a": {2: "x", 1: [True]}}, {"a": [{2.5: 1, 0.5: {}}]}, {None: 1}, {"t": (1, (2,))}, [0.5])
+    for doc in others:
+        assert _dump(doc) == oracle_dump(doc)
+    for doc in ({"a": object()}, {"a": {1: 2, "b": 3}}, [{1, 2}]):
+        with pytest.raises(TypeError):
+            oracle_dump(doc)
+        with pytest.raises(TypeError):
+            _dump(doc)

@@ -386,6 +386,40 @@ def test_exponent_and_pi_poset_read_matches_element_scan(monkeypatch):
             assert exponent_and_pi(lazy) == (pi, eppo), group.descriptor
 
 
+def test_is_cyclic_poset_read_matches_element_scan():
+    # materialized C, D, Q and products read the largest maximal cyclic
+    # subgroup; S and M keep their own answers; all against the orders
+    # from repeated multiplication
+    for group in builtin_family(300):
+        scan = any(len(brute_powers(group, x)) == group.order for x in range(group.order))
+        assert group.is_cyclic() == scan, group.descriptor
+
+
+SMALL_PRODUCTS = [
+    ("C:2", "C:6"),
+    ("C:3", "C:3"),
+    ("C:4", "D:3"),
+    ("D:4", "Q:3"),
+    ("Q:3", "C:6"),
+    ("S:3", "C:4"),
+    ("C:5", "S:3"),
+]
+
+
+def test_word_powers_closed_forms_match_the_mul_walk():
+    groups = [make_cyclic(n) for n in range(1, 61)]
+    groups += [make_dihedral(n) for n in range(2, 41)]
+    groups += [make_generalized_quaternion(n) for n in range(3, 9)]
+    groups += [make_direct_product(parse_group_spec(a), parse_group_spec(b)) for a, b in SMALL_PRODUCTS]
+    for group in groups:
+        for x in range(group.order):
+            assert group.word_powers(x) == brute_powers(group, x), (group.descriptor, x)
+    # the generators at the threshold: a rotation of order 4096 or 2000, a reflection
+    c, d = make_cyclic(4096), make_dihedral(2000)
+    for group, x in ((c, 1), (d, 1), (d, 2000), (d, 3999)):
+        assert group.word_powers(x) == brute_powers(group, x), (group.descriptor, x)
+
+
 def test_generated_subgroup():
     s4 = make_symmetric(4)
     sub = generated_subgroup(s4, [s4.parse_element("(1 2)"), s4.parse_element("(3 4)")])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
 from powercrit import (
     PowerGraph,
     ScaleError,
+    census,
     classify_element,
     euler_phi,
     is_maximal_element,
@@ -27,6 +29,7 @@ from powercrit import (
 from powercrit import power_graph
 from powercrit.groupspec import parse_group_spec
 from powercrit.power_graph import export_dot, export_json_graph
+from powercrit.report import element_report
 
 S4 = make_symmetric(4)
 D30 = make_dihedral(15)
@@ -267,6 +270,29 @@ def test_lazy_matches_materialized_s7_cycle_types():
         assert classify_element(lazy, x) == classify_element(mat, x), parts
         assert lazy.strict_overgroups(x) == mat.strict_overgroups(x), parts
         assert is_maximal_element(s7, x) == (not mat.strict_overgroups(x)), parts
+
+
+def test_element_report_maximality_matches_the_centralizer_walk(monkeypatch):
+    # element_report reads maximality off the N[x] it built; the oracle
+    # walks C(x) for a strict overgroup, and the poset maxima of a
+    # materialized copy decide the census groups too
+    for k in (7, 8):
+        sk = make_symmetric(k)
+        for parts in integer_partitions(k):
+            x = cycle_type_element(sk, parts)
+            assert element_report(sk, x)["is_maximal"] == is_maximal_element(sk, x), parts
+    entries = census(200, all_r=True)
+    materialized = [make_metacyclic(*astuple(e.params)) for e in entries]
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
+    for group in materialized:
+        lazy = parse_group_spec(group.descriptor)
+        for label in ("(1,0)", "(0,1)"):
+            x = lazy.parse_element(label)
+            want = is_maximal_element(group, x)
+            assert element_report(lazy, x)["is_maximal"] == is_maximal_element(lazy, x) == want, (
+                group.descriptor,
+                label,
+            )
 
 
 # -- enhanced power graph ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The built-in payload validator against jsonschema, the reference
-implementation of Draft 7, on real CLI payloads and on mutations of them."""
+implementation of Draft 7, on real CLI payloads and on mutations of them;
+its error messages against the recursive interpreter in conftest."""
 
 import contextlib
 import copy
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powercrit.cli
+from conftest import interpret_document
 from powercrit.cli import main
 from powercrit.errors import InternalConsistencyError
 from powercrit.report import (
@@ -109,12 +111,21 @@ def payload(label: str, i: int = 0) -> tuple[dict, dict]:
     return copy.deepcopy(payloads(label)[i]), SCHEMAS[RUNS[label][0]]
 
 
-def ours(doc, schema: dict) -> bool:
+def message(check, doc, schema: dict) -> str | None:
+    """The error text `check` raises for `doc`, or None when it accepts it."""
     try:
-        validate_document(doc, schema)
-    except InternalConsistencyError:
-        return False
-    return True
+        check(doc, schema)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def ours(doc, schema: dict) -> bool:
+    """The compiled validator's verdict, once its message (or its silence)
+    equals the interpreter's."""
+    got = message(validate_document, doc, schema)
+    assert got == message(interpret_document, doc, schema)
+    return got is None
 
 
 def theirs(doc, schema: dict) -> bool:
@@ -126,6 +137,7 @@ def test_real_payloads_pass_both_validators(label):
     schema = SCHEMAS[RUNS[label][0]]
     for doc in payloads(label):
         validate_document(doc, schema)
+        interpret_document(doc, schema)
         jsonschema.validate(doc, schema)
 
 
@@ -219,6 +231,7 @@ def test_error_names_the_json_path(label, edit, where):
     with pytest.raises(InternalConsistencyError) as info:
         validate_document(doc, schema)
     assert str(info.value).startswith(f"payload at {where}")
+    assert str(info.value) == message(interpret_document, doc, schema)
     assert not theirs(doc, schema)
 
 
