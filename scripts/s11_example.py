@@ -29,18 +29,18 @@ def main() -> None:
     nb = graph.closed_neighborhood(sigma)
     print(f"|N[sigma]| = {len(nb)}  ({time.perf_counter() - t0:.1f}s)")
 
-    over = graph.strict_overgroups(sigma, _neighborhood=nb)
+    over = graph.strict_overgroups(sigma)
     print(f"strict overgroup generators: {len(over)} -> sigma is {'non-' if over else ''}maximal")
 
     t0 = time.perf_counter()
-    cls = graph.element_n_class(sigma, _neighborhood=nb)
-    rec = classify_class(graph, cls, _neighborhood=nb)
+    cls = graph.element_n_class(sigma)
+    rec = classify_class(graph, cls)
     print(
         f"twin class size {rec.size}, kind {rec.kind}, critical {rec.is_critical}, "
         f"closure size {rec.closure_size}  ({time.perf_counter() - t0:.1f}s)"
     )
 
-    y, z = noncyclic_overgroup_witnesses(graph, sigma, overgroups=over)
+    y, z = noncyclic_overgroup_witnesses(graph, sigma)
     print(f"witnesses with non-cyclic join: y = {s11.element_label(y)}, z = {s11.element_label(z)}")
     print(f"enhanced-adjacent(y, z) = {graph.enhanced_adjacent(y, z)}")
 

@@ -60,11 +60,7 @@ class GroupKind:
     is_compound_group: bool
 
 
-def classify_class(
-    graph: PowerGraph,
-    members,
-    _neighborhood: frozenset[int] | None = None,
-) -> NClassRecord:
+def classify_class(graph: PowerGraph, members) -> NClassRecord:
     """Type one twin class and decide whether it is critical.
 
     `members` must be a closed-twin class of the graph's group (checked
@@ -98,7 +94,7 @@ def classify_class(
         kind = "plain" if members <= g.cyclic_generators(rep) else "compound"
         # N[s] = G for every star vertex, so the closure of the star class
         # is the star class itself; avoids scanning huge groups.
-        closure = members if star else graph.closure(members, _candidates=_neighborhood)
+        closure = members if star else graph.closure(members)
         closure_size = len(closure)
         closure_is_class_and_identity = closure == members | {g.identity}
 
@@ -165,17 +161,9 @@ def _compound_params(g: Group, members: frozenset[int], rep: int) -> CompoundPar
     return CompoundParams(p=p, r=r, s=s_size, root=root)
 
 
-def classify_element(graph: PowerGraph, x: int, _neighborhood: frozenset[int] | None = None) -> NClassRecord:
-    """Classify the twin class of one element; works at lazy scale, where
-    a caller that has built N[x] may pass it."""
-    if graph.materialized:
-        return classify_class(graph, graph.twin_partition().class_containing(x))
-    g = graph.group
-    if x == g.identity:
-        return classify_class(graph, graph.star_vertices())
-    nb = _neighborhood if _neighborhood is not None else graph.closed_neighborhood(x)
-    cls = graph.element_n_class(x, _neighborhood=nb)
-    return classify_class(graph, cls, _neighborhood=nb)
+def classify_element(graph: PowerGraph, x: int) -> NClassRecord:
+    """Classify the twin class of one element; works at lazy scale."""
+    return classify_class(graph, graph.element_n_class(x))
 
 
 def class_records(graph: PowerGraph) -> list[NClassRecord]:
@@ -221,12 +209,7 @@ def plain_critical_by_overgroups(graph: PowerGraph, x: int) -> bool | None:
     """
     g = graph.group
     ox = g.element_order(x)
-    if as_prime_power(ox) is not None:
-        return None
-    if ox == g.order:
-        return None
-    pp = as_prime_power(euler_phi(ox) + 1)
-    if pp is None or pp.k < 2:
+    if ox == g.order or not _plain_critical_order(ox):
         return None
     over = sorted(graph.strict_overgroups(x))
     for y in over:
@@ -235,11 +218,7 @@ def plain_critical_by_overgroups(graph: PowerGraph, x: int) -> bool | None:
     return True
 
 
-def noncyclic_overgroup_witnesses(
-    graph: PowerGraph,
-    x: int,
-    overgroups=None,
-) -> tuple[int, int]:
+def noncyclic_overgroup_witnesses(graph: PowerGraph, x: int) -> tuple[int, int]:
     """For a non-maximal plain critical x, two strict overgroup generators
     with a non-cyclic join.
 
@@ -250,22 +229,12 @@ def noncyclic_overgroup_witnesses(
     ValueError when x is not plain critical or is maximal.
     """
     g = graph.group
-    over = sorted(overgroups if overgroups is not None else graph.strict_overgroups(x))
+    over = sorted(graph.strict_overgroups(x))
     if not over:
         raise ValueError(
             f"{g.element_label(x)} is maximal in {g.descriptor}; precondition violated"
         )
-    ox = g.element_order(x)
-    applicable = (
-        as_prime_power(ox) is None
-        and ox != g.order
-        and (pp := as_prime_power(euler_phi(ox) + 1)) is not None
-        and pp.k >= 2
-    )
-    criterion = applicable and all(
-        any(not graph.adjacent_or_equal(y, z) for z in over) for y in over
-    )
-    if not criterion:
+    if plain_critical_by_overgroups(graph, x) is not True:
         raise ValueError(
             f"{g.element_label(x)} is not plain critical in {g.descriptor}; precondition violated"
         )
@@ -289,7 +258,12 @@ def dihedral_plain_critical_profile(n: int) -> bool:
     """
     if n < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {n}")
-    if as_prime_power(n) is not None:
+    return _plain_critical_order(n)
+
+
+def _plain_critical_order(o: int) -> bool:
+    """o is not a prime power and phi(o) + 1 is a prime power p^r, r >= 2."""
+    if as_prime_power(o) is not None:
         return False
-    pp = as_prime_power(euler_phi(n) + 1)
+    pp = as_prime_power(euler_phi(o) + 1)
     return pp is not None and pp.k >= 2

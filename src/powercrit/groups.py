@@ -920,21 +920,17 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     ]
 
 
-def is_maximal_element(group: Group, x: int, _neighborhood: frozenset[int] | None = None) -> bool:
+def is_maximal_element(group: Group, x: int) -> bool:
     """True iff no element generates a strictly larger cyclic subgroup over x.
 
     Read off the poset maxima at or below the materialization threshold.
-    Otherwise read off N[x] when the caller has built it: N[x] is <x> and
-    the generators of every cyclic overgroup of x, none of them in <x>,
-    so x is maximal iff |N[x]| = o(x).  Without it, one pass over C(x),
-    which holds every cyclic overgroup of x; each candidate is screened by
-    order divisibility before the membership lift.
+    Otherwise one pass over C(x), which holds every cyclic overgroup of x;
+    each candidate is screened by order divisibility before the membership
+    lift.
     """
     poset = group._materialized_poset()
     if poset is not None:
         return poset.sub_of[x] in poset.maxima
-    if _neighborhood is not None:
-        return len(_neighborhood) == group.element_order(x)
     wx = group.word_of(x)
     pw = group.word_powers(wx)
     ox, gens = len(pw), _generators(pw)

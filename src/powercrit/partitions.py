@@ -221,7 +221,7 @@ def check_plain_critical_maximal(group: Group, graph: PowerGraph | None = None) 
     return Verdict(True, True, "every plain critical element is maximal")
 
 
-def check_main_corollary(group: Group, graph: PowerGraph | None = None) -> Verdict:
+def check_main_corollary(group: Group) -> Verdict:
     """Non-trivial cyclic partition with prime-power exponent >= 2 components
     must exhibit a Frobenius structure with cyclic kernel C_{p^a} (p odd)
     and cyclic complement C_{q^b}, a, b >= 2."""

@@ -15,7 +15,10 @@ Two operating modes:
   Adjacency against a fixed element x short-circuits on order
   divisibility and then costs one set lookup: either the other element
   lies among the powers of x, or its power lifted to order(x) must be a
-  generator of x's cyclic subgroup.
+  generator of x's cyclic subgroup.  The word list of N[x] is kept with
+  the graph, filed under every twin of x once the twin class is known,
+  so the closure of a twin class reads its common neighbourhood N[x]
+  from the memo instead of filtering or decoding it again.
 
 Adjacent elements commute, so N[x], the twin class of x and the cyclic
 overgroups of x all lie inside the centralizer C(x).  Lazy queries pass
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 
-# entries kept per graph in each of its memos (fixed elements, closures)
+# entries kept per graph in each of its memos (fixed elements, closures, N[x])
 _CACHE_CAP = 4096
 
 
@@ -104,6 +107,7 @@ class PowerGraph:
         self._class_records: dict[int, object] = {}
         self._class_masks: list[int] = []
         self._closures: dict[int, frozenset[int]] = {}
+        self._neighborhoods: dict[int, list] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
 
@@ -129,6 +133,16 @@ class PowerGraph:
             if len(self._fixed_cache) < _CACHE_CAP:
                 self._fixed_cache[x] = fx
         return fx
+
+    def _neighborhood_words(self, x: int) -> list:
+        """N[x] as the words of one lazy pass over C(x), kept with the graph."""
+        nb = self._neighborhoods.get(x)
+        if nb is None:
+            fx = self._fixed(x)
+            nb = self._common([fx], self.group.centralizer_words(fx.word))
+            if len(self._neighborhoods) < _CACHE_CAP:
+                self._neighborhoods[x] = nb
+        return nb
 
     def _common_mask(self, xs) -> int:
         """The AND of the comparability masks of xs: their common
@@ -158,13 +172,11 @@ class PowerGraph:
 
     def closed_neighborhood(self, x: int) -> frozenset[int]:
         """N[x]: x together with everything adjacent to it; lazily, one
-        pass over C(x)."""
+        pass over C(x), kept with the graph."""
         poset = self._poset
         if poset is not None:
             return poset.expand(poset.comp[poset.sub_of[x]])
-        g = self.group
-        fx = self._fixed(x)
-        return frozenset(map(g.index_of, self._common([fx], g.centralizer_words(fx.word))))
+        return frozenset(map(self.group.index_of, self._neighborhood_words(x)))
 
     def common_neighborhood(self, xs) -> frozenset[int]:
         """Intersection of closed neighbourhoods; the whole group for empty input.
@@ -183,14 +195,16 @@ class PowerGraph:
         reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
         return frozenset(map(g.index_of, self._common(reps, g.centralizer_words(reps[0].word))))
 
-    def closure(self, xs, _candidates: frozenset[int] | None = None) -> frozenset[int]:
+    def closure(self, xs) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
 
         This is a Moore closure: extensive, monotone and idempotent.  In
         lazy mode, whenever the input is pairwise adjacent (every twin
         class is), the whole computation happens inside N[x0] for any
-        x0 in xs; otherwise the closure lies in N[z0] for any z0 in the
-        common neighbourhood, and one pass over C(z0) finds it.
+        x0 in xs, and inputs that share one kept N[x0] (twins) have it as
+        their common neighbourhood; otherwise the closure lies in N[z0]
+        for any z0 in the common neighbourhood, and one pass over C(z0)
+        finds it.
 
         Materialized, the closure is the set of nodes comparable with every
         node of the common neighbourhood's node mask m.  It depends only on
@@ -215,8 +229,9 @@ class PowerGraph:
         )
         if pairwise:
             # xs lies in its own common neighbourhood, so the closure does too
-            cands = _candidates if _candidates is not None else self.closed_neighborhood(min(xs))
-            common = self._common(reps, map(g.word_of, sorted(cands)))
+            common = self._neighborhood_words(min(xs))
+            if any(self._neighborhoods.get(x) is not common for x in xs):
+                common = self._common(reps, common)
             return frozenset(map(g.index_of, self._universal(common)))
         common = self._common(reps, g.centralizer_words(reps[0].word))
         e = g.word_of(g.identity)
@@ -338,7 +353,7 @@ class PowerGraph:
             self._diamond = TwinPartition(classes=classes, class_of=tuple(poset.sub_of))
         return self._diamond
 
-    def element_n_class(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
+    def element_n_class(self, x: int) -> frozenset[int]:
         """The closed-twin class of x.
 
         N[c] depends only on <c>.  A twin c of x lies in N[x], so <c> and
@@ -349,13 +364,14 @@ class PowerGraph:
         p.  Those candidates are tested one per cyclic subgroup in a single
         pass: an element separating c from x lies in C(x) or C(c), so in
         C(x0) for x0 generating the least non-trivial subgroup of <x>.
+        Twins share N[x], so the kept N[x] is filed under each of them.
         """
         if self._poset is not None:
             return self.twin_partition().class_containing(x)
         g = self.group
         if x == g.identity:
             return self.star_vertices()
-        nb = _neighborhood if _neighborhood is not None else self.closed_neighborhood(x)
+        nb = self._neighborhood_words(x)
         fx = self._fixed(x)
         twins = set(fx.gens)
         if len(nb) == g.order:
@@ -365,7 +381,7 @@ class PowerGraph:
             below = [_Fixed(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
             above = [
                 w
-                for w in map(g.word_of, nb)
+                for w in nb
                 if (ow := g.word_order(w)) > fx.order and (q := as_prime_power(ow)) is not None and q.p == pp.p
             ]
             live = below + self._subgroup_reps(above)
@@ -377,7 +393,12 @@ class PowerGraph:
                 live = [f for f in live if f.adjacent_or_equal(g, w, ow) == ax]
             for f in live:
                 twins |= f.gens
-        return frozenset(map(g.index_of, twins))
+        members = frozenset(map(g.index_of, twins))
+        kept = self._neighborhoods
+        for t in members:
+            if t in kept or len(kept) < _CACHE_CAP:
+                kept[t] = nb
+        return members
 
     # -- enhanced power graph ----------------------------------------------------
 
@@ -420,12 +441,11 @@ class PowerGraph:
             rec = self._class_records[cid] = classify(self, members)
         return rec
 
-    def strict_overgroups(self, x: int, _neighborhood: frozenset[int] | None = None) -> frozenset[int]:
+    def strict_overgroups(self, x: int) -> frozenset[int]:
         """Elements y whose cyclic subgroup strictly contains the one of x."""
-        nb = _neighborhood if _neighborhood is not None else self.closed_neighborhood(x)
         g = self.group
         ox = g.element_order(x)
-        return frozenset(y for y in nb if g.element_order(y) > ox)
+        return frozenset(y for y in self.closed_neighborhood(x) if g.element_order(y) > ox)
 
 
 # -- exports -------------------------------------------------------------------

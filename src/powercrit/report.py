@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
-from .groups import Group, exponent_and_pi, is_maximal_element, require_materialized
+from .groups import Group, exponent_and_pi, require_materialized
 from .partitions import cyclic_partition
 from .power_graph import PowerGraph
 
@@ -480,21 +480,23 @@ def element_report(group: Group, element: int | str) -> dict:
     """Single-element report; runs at lazy scale."""
     x = group.parse_element(element) if isinstance(element, str) else element
     graph = PowerGraph(group)
-    # lazily, N[x] is one walk over C(x); classification and maximality share it
-    nb = None if graph.materialized or x == group.identity else graph.closed_neighborhood(x)
-    rec = classify_element(graph, x, _neighborhood=nb)
+    rec = classify_element(graph, x)
+    order = group.element_order(x)
+    # x is maximal iff N[x], kept lazily from classification, is just <x>;
+    # N[e] = G is never built
+    maximal = group.order == 1 if x == group.identity else len(graph.closed_neighborhood(x)) == order
     return {
         "group": group.descriptor,
         "order": group.order,
         "element": group.element_label(x),
-        "element_order": group.element_order(x),
+        "element_order": order,
         "n_class_size": rec.size,
         "diamond_class_size": len(group.cyclic_generators(x)),
         "kind": rec.kind,
         "params": _params_dict(group, rec.params),
         "is_critical": rec.is_critical,
         "closure_size": rec.closure_size,
-        "is_maximal": is_maximal_element(group, x, _neighborhood=nb),
+        "is_maximal": maximal,
         "is_star_class": rec.is_star_class,
     }
 

@@ -1,6 +1,7 @@
 """Centralizer enumeration against the definition, and the lazy queries
 that walk centralizers against the materialized graph."""
 
+import random
 from collections import Counter
 from math import factorial, prod
 
@@ -16,6 +17,7 @@ from powercrit import (
     make_metacyclic,
     make_symmetric,
 )
+from powercrit.report import element_report
 
 
 def centralizer(group, x) -> frozenset[int]:
@@ -89,3 +91,30 @@ def test_lazy_classify_matches_materialized_at_order_6250(monkeypatch):
     for text in ("(1,0)", "(0,1)"):
         x = lazy_group.parse_element(text)
         assert classify_element(lazy, x) == classify_element(mat, x), text
+
+
+def test_element_report_walks_each_centralizer_once(monkeypatch):
+    # an element query walks C(x) once for N[x]; a prime-power x walks the
+    # centralizer of its least non-trivial power once more for its twins.
+    # Members of x's twin class share N[x], so a class whose least member
+    # is not x walks no more than x itself
+    def walks(group, x) -> int:
+        calls = []
+        walk = group.centralizer_words
+        monkeypatch.setattr(group, "centralizer_words", lambda w: calls.append(w) or walk(w))
+        element_report(group, x)
+        monkeypatch.undo()
+        return len(calls)
+
+    s8 = make_symmetric(8)
+    points = [str(p) for p in random.Random(9).sample(range(1, 9), 8)]
+    mixed = s8.parse_element(f"({' '.join(points[:3])})({' '.join(points[3:])})")
+    octo = s8.parse_element(f"({' '.join(points)})")
+    m = make_metacyclic(5, 5, 2, 1, 3124)
+    cases = [(s8, mixed, 1), (s8, octo, 2), (m, m.parse_element("(1,0)"), 2)]
+    for group, x, want in list(cases):
+        twins = PowerGraph(group).element_n_class(x)
+        assert min(twins) != max(twins) and PowerGraph(group).mode == "lazy"
+        cases.append((group, max(twins), want))
+    for group, x, want in cases:
+        assert walks(group, x) == want, (group.descriptor, group.element_label(x))

@@ -10,6 +10,7 @@ from conftest import (
     brute_edge_count,
     brute_rows,
     brute_twin_class,
+    brute_twin_classes,
     cycle_type_element,
     integer_partitions,
 )
@@ -155,6 +156,17 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     for _ in range(2):
         assert [capped.closure(xs) for xs in subsets] == expected
     assert len(capped._closures) == 4
+    # lazily, a twin class reads its common neighbourhood off the N[x] kept
+    # for its members; with the memo full, N[x] is filtered again instead
+    twins = brute_twin_classes(brute_rows(g))
+    for cap in (4096, 4):
+        monkeypatch.setattr(power_graph, "_CACHE_CAP", cap)
+        lazy = PowerGraph(g, materialize=False)
+        for cls in twins:
+            assert lazy.element_n_class(max(cls)) == cls
+            assert lazy.closure(cls) == brute_closure(g, cls)
+        assert [lazy.closure(xs) for xs in subsets] == expected
+        assert len(lazy._neighborhoods) <= cap
 
 
 # -- star vertices ----------------------------------------------------------------
