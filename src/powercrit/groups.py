@@ -769,7 +769,8 @@ class CyclicPoset:
     of the generator sets of the subgroups comparable with <x>.  ``comp[s]``
     is that comparability set as a k-bit mask: bit t is set iff t lies
     above or below s (s included).  ``maxima`` lists the maximal subgroups
-    by descending order, then least generator.
+    by descending order, then least generator, and ``maximal[s]`` says
+    whether s is one of them.
     """
 
     def __init__(self, group: Group):
@@ -811,12 +812,14 @@ class CyclicPoset:
         self.powers = powers
         self.comp = comp
         self.full = (1 << len(powers)) - 1
+        self.maximal = maximal
         self.maxima = sorted(
             (s for s, top in enumerate(maximal) if top),
             key=lambda s: (-len(powers[s]), least[s]),
         )
         self._members: list[frozenset[int] | None] = [None] * len(powers)
         self._generators: list[frozenset[int] | None] = [None] * len(powers)
+        self._maximal_subgroups: tuple[CyclicSubgroup, ...] | None = None
 
     def powers_of(self, a: int) -> tuple[int, ...]:
         """(1, a, a^2, ...), re-indexed from the stored powers of <a>."""
@@ -838,6 +841,15 @@ class CyclicPoset:
         if got is None:
             got = self._generators[s] = frozenset(self.gens[s])
         return got
+
+    def maximal_subgroups(self) -> tuple[CyclicSubgroup, ...]:
+        """The subgroups of ``maxima``, in its order, built on first call and kept."""
+        if self._maximal_subgroups is None:
+            self._maximal_subgroups = tuple(
+                CyclicSubgroup(generator=self.least[s], order=len(self.powers[s]), members=self.members(s))
+                for s in self.maxima
+            )
+        return self._maximal_subgroups
 
     # -- node masks -----------------------------------------------------------
 
@@ -872,7 +884,7 @@ class CyclicPoset:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicSubgroup:
     """A cyclic subgroup: its least generator, order and member set."""
 
@@ -906,7 +918,7 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     """All cyclic subgroups maximal under inclusion: the maxima of the poset.
 
     Sorted by descending order then least generator.  Every element of the
-    group lies in at least one of them.
+    group lies in at least one of them.  The poset builds them once.
     """
     poset = group._materialized_poset()
     if poset is None:
@@ -914,23 +926,20 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
             f"maximal cyclic subgroup enumeration unsupported at order {group.order} "
             f"(threshold {max_materialize()})"
         )
-    return [
-        CyclicSubgroup(generator=poset.least[s], order=len(poset.powers[s]), members=poset.members(s))
-        for s in poset.maxima
-    ]
+    return list(poset.maximal_subgroups())
 
 
 def is_maximal_element(group: Group, x: int) -> bool:
     """True iff no element generates a strictly larger cyclic subgroup over x.
 
-    Read off the poset maxima at or below the materialization threshold.
-    Otherwise one pass over C(x), which holds every cyclic overgroup of x;
-    each candidate is screened by order divisibility before the membership
-    lift.
+    Read off the poset's maximality flags at or below the materialization
+    threshold.  Otherwise one pass over C(x), which holds every cyclic
+    overgroup of x; each candidate is screened by order divisibility before
+    the membership lift.
     """
     poset = group._materialized_poset()
     if poset is not None:
-        return poset.sub_of[x] in poset.maxima
+        return poset.maximal[poset.sub_of[x]]
     wx = group.word_of(x)
     pw = group.word_powers(wx)
     ox, gens = len(pw), _generators(pw)

@@ -185,10 +185,10 @@ def check_partition_implies_compound_critical(group: Group, graph: PowerGraph | 
     kind = classify_group(graph)
     if kind.is_critical_group and kind.is_compound_group:
         return Verdict(True, True, "compound critical as required")
-    for members in graph.twin_partition().classes:
+    for cid, members in enumerate(graph.twin_partition().classes):
         if members == frozenset({group.identity}):
             continue
-        rec = classify_class(graph, members)
+        rec = graph.class_record(cid, classify_class)
         if not rec.is_critical or rec.kind != "compound":
             return Verdict(
                 True,
@@ -205,10 +205,10 @@ def check_plain_critical_maximal(group: Group, graph: PowerGraph | None = None) 
     if not part.is_partition:
         return Verdict(False, None, _obstruction_text(group, part))
     graph = _graph(group, graph)
-    for members in graph.twin_partition().classes:
+    for cid, members in enumerate(graph.twin_partition().classes):
         if members == frozenset({group.identity}):
             continue
-        rec = classify_class(graph, members)
+        rec = graph.class_record(cid, classify_class)
         if rec.kind == "plain" and rec.is_critical:
             # all members of a plain class generate the same cyclic
             # subgroup, so the representative settles maximality

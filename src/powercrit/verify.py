@@ -3,8 +3,10 @@
 Each suite sweeps a built-in family of groups (cyclic, dihedral,
 symmetric, generalized quaternion, the metacyclic census family, and
 small elementary abelian products) and records every violation with the
-group spec and offending element.  The suites back both the `verify` CLI
-command and the acceptance tests.
+group spec and offending element.  The closure, criticality and
+partitions suites share one walk of the family, with one power graph per
+group.  The suites back both the `verify` CLI command and the acceptance
+tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .criticality import (
     class_records,
@@ -74,24 +76,27 @@ class SuiteResult:
 
 def builtin_family(max_order: int) -> list[Group]:
     """The test family: every group the property suites sweep."""
-    groups: list[Group] = []
+    return list(_family(max_order))
+
+
+def _family(max_order: int) -> Iterator[Group]:
+    """The groups of :func:`builtin_family`, built one at a time."""
     for n in range(1, min(120, max_order) + 1):
-        groups.append(make_cyclic(n))
+        yield make_cyclic(n)
     for n in range(2, min(60, max_order // 2) + 1):
-        groups.append(make_dihedral(n))
+        yield make_dihedral(n)
     for k in range(2, 6):
         if math.factorial(k) <= max_order:
-            groups.append(make_symmetric(k))
+            yield make_symmetric(k)
     for n in range(3, 6):
         if 2**n <= max_order:
-            groups.append(make_generalized_quaternion(n))
+            yield make_generalized_quaternion(n)
     for entry in census(min(600, max_order), all_r=True):
         m = entry.params
-        groups.append(make_metacyclic(m.p, m.a, m.q, m.b, m.r))
+        yield make_metacyclic(m.p, m.a, m.q, m.b, m.r)
     for p in (2, 3, 5, 7):
         if p * p <= max_order:
-            groups.append(make_direct_product(make_cyclic(p), make_cyclic(p)))
-    return groups
+            yield make_direct_product(make_cyclic(p), make_cyclic(p))
 
 
 # ---------------------------------------------------------------------------
@@ -99,36 +104,78 @@ def builtin_family(max_order: int) -> list[Group]:
 # ---------------------------------------------------------------------------
 
 
+def _below(bits, n: int) -> int:
+    """random.Random.randrange(n) from the generator's `getrandbits`,
+    by the same rejection of draws of n.bit_length() bits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, n: int, k: int) -> frozenset[int]:
+    """The set random.Random.sample(range(n), k) returns, from the same bits.
+
+    The suite makes 129,200 draws at order 300, and the stdlib call,
+    which checks its population type and builds a result list, costs more
+    than the closure checks they feed; the draws stay bit-exact, so the
+    suite checks the same subsets.  Like the stdlib, it shuffles a pool
+    when a list of n is smaller than a set of k, keeping only the slots
+    that moved, and otherwise redraws repeats.  Each index is drawn by
+    :func:`_below`'s rejection, inlined.
+    """
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        moved: dict[int, int] = {}
+        out = []
+        for last in range(n - 1, n - 1 - k, -1):
+            width = (last + 1).bit_length()
+            j = bits(width)
+            while j > last:
+                j = bits(width)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(last, last)
+        return frozenset(out)
+    chosen: set[int] = set()
+    width = n.bit_length()
+    while len(chosen) < k:
+        j = bits(width)
+        if j < n:
+            chosen.add(j)
+    return frozenset(chosen)
+
+
+def _check_closure(res: SuiteResult, graph: PowerGraph, bits, subsets: int) -> None:
+    group = graph.group
+    n = group.order
+    if n > CLOSURE_ORDER_CAP:
+        return
+    star = graph.star_vertices()
+    for _ in range(subsets):
+        size = _below(bits, min(n, 12) + 1)
+        xs = _sample(bits, n, size)
+        hat = graph.closure(xs)
+        res.check(xs <= hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
+        res.check(
+            graph.closure(hat) == hat,
+            lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}",
+        )
+        extra = _below(bits, min(n - size, 4) + 1)
+        ys = xs | _sample(bits, n, min(n, size + extra))
+        res.check(
+            hat <= graph.closure(ys),
+            lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(ys)}",
+        )
+        if xs:
+            res.check(
+                hat >= (xs | star),
+                lambda: f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
+            )
+
+
 def suite_closure(family: list[Group], subsets: int = CLOSURE_SUBSETS) -> SuiteResult:
-    res = SuiteResult("closure")
-    rng = random.Random(0xC0FFEE)
-    for group in family:
-        n = group.order
-        if n > CLOSURE_ORDER_CAP:
-            continue
-        graph = PowerGraph(group)
-        star = graph.star_vertices()
-        for _ in range(subsets):
-            size = rng.randint(0, min(n, 12))
-            xs = frozenset(rng.sample(range(n), size))
-            hat = graph.closure(xs)
-            res.check(xs <= hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
-            res.check(
-                graph.closure(hat) == hat,
-                lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}",
-            )
-            extra = rng.randint(0, min(n - size, 4))
-            ys = xs | frozenset(rng.sample(range(n), min(n, size + extra)))
-            res.check(
-                hat <= graph.closure(ys),
-                lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(ys)}",
-            )
-            if xs:
-                res.check(
-                    hat >= (xs | star),
-                    lambda: f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
-                )
-    return res
+    return _walk(family, ["closure"], subsets)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,86 +183,89 @@ def suite_closure(family: list[Group], subsets: int = CLOSURE_SUBSETS) -> SuiteR
 # ---------------------------------------------------------------------------
 
 
-def suite_criticality(family: list[Group]) -> SuiteResult:
-    res = SuiteResult("criticality")
-    for group in family:
-        graph = PowerGraph(group)
-        records = class_records(graph)
-        star = graph.star_vertices()
-        twin = graph.twin_partition()
-        any_critical = any(rec.is_critical for rec in records)
-        if any_critical:
-            res.check(
-                star == frozenset({group.identity}),
-                f"{group.descriptor}: critical element exists but the star set is {sorted(star)}",
-            )
-        for rec in records:
-            rep = rec.representative
-            label = group.element_label(rep)
-            if rec.is_critical:
-                proper_pp = as_prime_power(group.element_order(rep))
-                res.check(
-                    (rec.kind == "compound") == (proper_pp is not None and proper_pp.is_proper),
-                    f"{group.descriptor}: critical {label} kind/order mismatch",
-                )
-            if rec.kind == "compound" and rec.is_critical and not rec.is_star_class:
-                res.check(
-                    rec.params is not None and rec.params.s == 0,
-                    f"{group.descriptor}: compound critical class of {label} has s != 0",
-                )
-            if rec.kind == "plain" and rec.is_critical:
-                o = group.element_order(rep)
-                pp = as_prime_power(rec.closure_size)
-                res.check(
-                    pp is not None
-                    and pp.k >= 2
-                    and rec.size == rec.closure_size - 1
-                    and as_prime_power(o) is None
-                    and euler_phi(o) == rec.closure_size - 1,
-                    f"{group.descriptor}: plain critical class of {label} violates its size profile",
-                )
-        # the generator partition refines the twin partition, with totient sizes
-        for dclass in graph.diamond_partition().classes:
-            rep = min(dclass)
-            res.check(
-                dclass <= twin.class_containing(rep),
-                f"{group.descriptor}: diamond class of {group.element_label(rep)} "
-                "crosses twin classes",
-            )
-            res.check(
-                len(dclass) == euler_phi(group.element_order(rep)),
-                f"{group.descriptor}: diamond class of {group.element_label(rep)} "
-                "has the wrong size",
-            )
-        kind = classify_group(graph)
-        if kind.is_critical_group:
-            res.check(
-                kind.is_compound_group,
-                f"{group.descriptor}: critical group is not compound",
-            )
-            _check_order_p_lifting(res, group)
+def _check_criticality(res: SuiteResult, graph: PowerGraph) -> None:
+    group = graph.group
+    records = class_records(graph)
+    star = graph.star_vertices()
+    twin = graph.twin_partition()
+    any_critical = any(rec.is_critical for rec in records)
+    if any_critical:
         res.check(
-            not (kind.is_plain_group and kind.is_critical_group),
-            f"{group.descriptor}: classified as a plain critical group",
+            star == frozenset({group.identity}),
+            f"{group.descriptor}: critical element exists but the star set is {sorted(star)}",
         )
-        _check_overgroup_oracle(res, group, graph, records, twin)
-        if group.order <= CLOSURE_ORDER_CAP:
-            erows = graph.enhanced_rows()
+    for rec in records:
+        rep = rec.representative
+        label = group.element_label(rep)
+        if rec.is_critical:
+            proper_pp = as_prime_power(group.element_order(rep))
             res.check(
-                all((erows[x] >> y) & 1 for x in range(group.order) for y in graph.closed_neighborhood(x)),
-                f"{group.descriptor}: power-graph edge missing from the enhanced graph",
+                (rec.kind == "compound") == (proper_pp is not None and proper_pp.is_proper),
+                f"{group.descriptor}: critical {label} kind/order mismatch",
             )
+        if rec.kind == "compound" and rec.is_critical and not rec.is_star_class:
+            res.check(
+                rec.params is not None and rec.params.s == 0,
+                f"{group.descriptor}: compound critical class of {label} has s != 0",
+            )
+        if rec.kind == "plain" and rec.is_critical:
+            o = group.element_order(rep)
+            pp = as_prime_power(rec.closure_size)
+            res.check(
+                pp is not None
+                and pp.k >= 2
+                and rec.size == rec.closure_size - 1
+                and as_prime_power(o) is None
+                and euler_phi(o) == rec.closure_size - 1,
+                f"{group.descriptor}: plain critical class of {label} violates its size profile",
+            )
+    # the generator partition refines the twin partition, with totient sizes
+    for dclass in graph.diamond_partition().classes:
+        rep = min(dclass)
+        res.check(
+            dclass <= twin.class_containing(rep),
+            f"{group.descriptor}: diamond class of {group.element_label(rep)} "
+            "crosses twin classes",
+        )
+        res.check(
+            len(dclass) == euler_phi(group.element_order(rep)),
+            f"{group.descriptor}: diamond class of {group.element_label(rep)} "
+            "has the wrong size",
+        )
+    kind = classify_group(graph)
+    if kind.is_critical_group:
+        res.check(
+            kind.is_compound_group,
+            f"{group.descriptor}: critical group is not compound",
+        )
+        _check_order_p_lifting(res, group)
+    res.check(
+        not (kind.is_plain_group and kind.is_critical_group),
+        f"{group.descriptor}: classified as a plain critical group",
+    )
+    _check_overgroup_oracle(res, graph, records)
+    if group.order <= CLOSURE_ORDER_CAP:
+        erows = graph.enhanced_rows()
+        res.check(
+            all((erows[x] >> y) & 1 for x in range(group.order) for y in graph.closed_neighborhood(x)),
+            f"{group.descriptor}: power-graph edge missing from the enhanced graph",
+        )
+
+
+def _check_dihedral_sweep(res: SuiteResult) -> None:
     for n in range(2, 61):
-        dg = make_dihedral(n)
-        dgraph = PowerGraph(dg)
         swept = any(
-            rec.kind == "plain" and rec.is_critical for rec in class_records(dgraph)
+            rec.kind == "plain" and rec.is_critical
+            for rec in class_records(PowerGraph(make_dihedral(n)))
         )
         res.check(
             dihedral_plain_critical_profile(n) == swept,
             f"D:{n}: arithmetic profile disagrees with the class sweep",
         )
-    return res
+
+
+def suite_criticality(family: list[Group]) -> SuiteResult:
+    return _walk(family, ["criticality"])[0]
 
 
 def _check_order_p_lifting(res: SuiteResult, group: Group) -> None:
@@ -236,9 +286,10 @@ def _check_order_p_lifting(res: SuiteResult, group: Group) -> None:
             )
 
 
-def _check_overgroup_oracle(res, group, graph, records, twin) -> None:
+def _check_overgroup_oracle(res: SuiteResult, graph: PowerGraph, records) -> None:
     # the overgroup criterion agrees with direct classification wherever
     # it applies; representatives cover every class
+    group = graph.group
     for rec in records:
         verdict = plain_critical_by_overgroups(graph, rec.representative)
         if verdict is None:
@@ -256,57 +307,92 @@ def _check_overgroup_oracle(res, group, graph, records, twin) -> None:
 # ---------------------------------------------------------------------------
 
 
-def suite_partitions(family: list[Group]) -> SuiteResult:
-    res = SuiteResult("partitions")
-    for group in family:
-        if group.order < 2:
-            continue
-        part = cyclic_partition(group)
-        # both graph checks below need a cyclic partition; they share one graph
-        graph = PowerGraph(group) if part.is_partition else None
-        if part.is_partition:
-            covered: set[int] = set()
-            ok = True
-            for i, comp in enumerate(part.components):
-                if comp.order < 2:
+def _check_partitions(res: SuiteResult, graph: PowerGraph) -> None:
+    group = graph.group
+    if group.order < 2:
+        return
+    part = cyclic_partition(group)
+    if part.is_partition:
+        covered: set[int] = set()
+        ok = True
+        for i, comp in enumerate(part.components):
+            if comp.order < 2:
+                ok = False
+            covered |= comp.members
+            for other in part.components[i + 1 :]:
+                if (comp.members & other.members) != {group.identity}:
                     ok = False
-                covered |= comp.members
-                for other in part.components[i + 1 :]:
-                    if (comp.members & other.members) != {group.identity}:
-                        ok = False
+        res.check(
+            ok and covered == set(range(group.order)),
+            f"{group.descriptor}: reported cyclic partition is not a partition",
+        )
+        res.check(
+            check_plain_critical_maximal(group, graph).passed is True,
+            f"{group.descriptor}: plain critical element is not maximal",
+        )
+    pp = as_prime_power(group.order)
+    if pp is not None and pp.is_proper and group.order <= KEGEL_ORDER_CAP:
+        brute = part.is_partition and not part.is_trivial
+        res.check(
+            kegel_partitionable(group) == brute,
+            f"{group.descriptor}: Hughes-Thompson criterion disagrees with "
+            "the cyclic-partition brute force",
+        )
+    v44 = check_partition_implies_compound_critical(group, graph)
+    if v44.applicable:
+        res.check(v44.passed is True, f"{group.descriptor}: {v44.detail}")
+    vmc = check_main_corollary(group)
+    if vmc.applicable:
+        res.check(vmc.passed is True, f"{group.descriptor}: {vmc.detail}")
+    # dihedral groups over an odd rotation order are Frobenius, so
+    # their cyclic partition must be found
+    desc = group.descriptor
+    if desc.startswith("D:"):
+        n = int(desc[2:])
+        if n >= 3 and n % 2 == 1:
             res.check(
-                ok and covered == set(range(group.order)),
-                f"{group.descriptor}: reported cyclic partition is not a partition",
+                part.is_partition and not part.is_trivial,
+                f"{desc}: expected a non-trivial cyclic partition",
             )
-            res.check(
-                check_plain_critical_maximal(group, graph).passed is True,
-                f"{group.descriptor}: plain critical element is not maximal",
-            )
-        pp = as_prime_power(group.order)
-        if pp is not None and pp.is_proper and group.order <= KEGEL_ORDER_CAP:
-            brute = part.is_partition and not part.is_trivial
-            res.check(
-                kegel_partitionable(group) == brute,
-                f"{group.descriptor}: Hughes-Thompson criterion disagrees with "
-                "the cyclic-partition brute force",
-            )
-        v44 = check_partition_implies_compound_critical(group, graph)
-        if v44.applicable:
-            res.check(v44.passed is True, f"{group.descriptor}: {v44.detail}")
-        vmc = check_main_corollary(group)
-        if vmc.applicable:
-            res.check(vmc.passed is True, f"{group.descriptor}: {vmc.detail}")
-        # dihedral groups over an odd rotation order are Frobenius, so
-        # their cyclic partition must be found
-        desc = group.descriptor
-        if desc.startswith("D:"):
-            n = int(desc[2:])
-            if n >= 3 and n % 2 == 1:
-                res.check(
-                    part.is_partition and not part.is_trivial,
-                    f"{desc}: expected a non-trivial cyclic partition",
-                )
-    return res
+
+
+def suite_partitions(family: list[Group]) -> SuiteResult:
+    return _walk(family, ["partitions"])[0]
+
+
+# ---------------------------------------------------------------------------
+# one walk of the family for the per-group suites
+# ---------------------------------------------------------------------------
+
+
+def _walk(family: Iterable[Group], names, subsets: int = CLOSURE_SUBSETS) -> list[SuiteResult]:
+    """Run the per-group suites `names` in one pass over `family`.
+
+    Each group gets one PowerGraph, shared by the suites' checks and
+    dropped before the next group is built, so its twin partition, class
+    records and closures are derived once.  Each suite keeps its own
+    result and check order; the closure subsets come from one generator
+    across the family.
+    """
+    bits = random.Random(0xC0FFEE).getrandbits
+    per_group = {
+        "closure": lambda res, graph: _check_closure(res, graph, bits, subsets),
+        "criticality": _check_criticality,
+        "partitions": _check_partitions,
+    }
+    for name in names:
+        if name not in per_group:
+            raise ValueError(f"unknown suite {name!r}")
+    suites = [(SuiteResult(name), per_group[name]) for name in names]
+    for graph in map(PowerGraph, family):
+        for res, check in suites:
+            check(res, graph)
+        del graph  # with its memos and group, before the next group's graph
+    results = [res for res, _ in suites]
+    for res in results:
+        if res.name == "criticality":
+            _check_dihedral_sweep(res)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +458,16 @@ def suite_theorems(max_order: int) -> SuiteResult:
 
 
 def run_suites(names, max_order: int) -> list[SuiteResult]:
+    """The requested suites, in request order; "all" runs every suite.
+
+    The closure, criticality and partitions suites share one walk of the
+    built-in family; the theorems suite runs on the census.
+    """
     requested = list(SUITE_NAMES) if "all" in names else list(names)
-    family = None
-    results = []
-    for name in requested:
-        if name == "theorems":
-            results.append(suite_theorems(max_order))
-            continue
-        if family is None:
-            family = builtin_family(max_order)
-        if name == "closure":
-            results.append(suite_closure(family))
-        elif name == "criticality":
-            results.append(suite_criticality(family))
-        elif name == "partitions":
-            results.append(suite_partitions(family))
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return results
+    walked = [name for name in requested if name != "theorems"]
+    # groups are built as the walk reaches them and dropped after it, with
+    # their posets
+    by_name = {res.name: res for res in _walk(_family(max_order), walked)} if walked else {}
+    if "theorems" in requested:
+        by_name["theorems"] = suite_theorems(max_order)
+    return [by_name[name] for name in requested]

@@ -1,7 +1,19 @@
+import math
+import random
+import weakref
+
 import pytest
 
 from powercrit import PowerGraph, make_cyclic
-from powercrit.verify import SUITE_NAMES, SuiteResult, builtin_family, run_suites, suite_closure
+from powercrit.verify import (
+    SUITE_NAMES,
+    SuiteResult,
+    _below,
+    _sample,
+    builtin_family,
+    run_suites,
+    suite_closure,
+)
 
 
 def test_builtin_family_respects_max_order():
@@ -49,3 +61,62 @@ def test_closure_suite_failure_text(monkeypatch):
         if xs:
             expected += [f"C:5: closure not extensive on {xs}", f"C:5: closure misses the star set on {xs}"]
     assert expected and res.failures == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2**40 + 7])
+def test_sampler_draws_what_the_stdlib_draws(seed):
+    # the same set and the same bits as random.Random.sample and randint:
+    # after every draw both generators must be at the same point
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    bits = ours.getrandbits
+    for m in range(300):
+        assert _below(bits, m + 1) == stdlib.randint(0, m), m
+        assert ours.getrandbits(32) == stdlib.getrandbits(32), m
+    for n in range(1, 201):
+        for k in range(min(n, 16) + 1):
+            assert _sample(bits, n, k) == frozenset(stdlib.sample(range(n), k)), (n, k)
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), (n, k)
+
+
+def test_sampler_sweep_covers_both_stdlib_branches():
+    # random.Random.sample shuffles a pool for n up to this size, and
+    # redraws repeats into a set above it
+    def pool_limit(k):
+        return 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+
+    for k in range(17):
+        assert 1 <= pool_limit(k) < 200, k
+    assert {pool_limit(k) for k in range(17)} == {21, 85}
+
+
+def test_suite_check_counts_are_pinned():
+    # a change in the subset draws or in the family shows up here
+    results = run_suites(["all"], 120)
+    counts = {res.name: (res.checks, len(res.failures)) for res in results}
+    assert counts == {
+        "closure": (208236, 0),
+        "criticality": (10500, 0),
+        "partitions": (546, 0),
+        "theorems": (91, 0),
+    }
+
+
+def test_family_walk_builds_one_graph_per_group(monkeypatch):
+    # the closure, criticality and partitions suites share one graph per
+    # family group, and each graph and its group are dropped before the
+    # next is built; the dihedral sweep D:2 .. D:60 builds its own the
+    # same way
+    alive = []
+    build = PowerGraph.__init__
+
+    def counting(graph, *args, **kwargs):
+        assert all(ref() is None for ref in alive), "an earlier graph or group is still alive"
+        build(graph, *args, **kwargs)
+        alive.extend((weakref.ref(graph), weakref.ref(graph.group)))
+
+    monkeypatch.setattr(PowerGraph, "__init__", counting)
+    results = run_suites(["closure", "criticality", "partitions"], 60)
+    monkeypatch.undo()
+    assert [res.name for res in results] == ["closure", "criticality", "partitions"]
+    assert all(res.passed for res in results)
+    assert len(alive) == 2 * (len(builtin_family(60)) + 59)
