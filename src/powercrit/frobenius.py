@@ -40,6 +40,7 @@ __all__ = [
     "MetacyclicParams",
     "ParamFlags",
     "census",
+    "check_census_bounds",
     "eppo_metacyclic_equivalence_check",
     "exists_for",
     "recognize_critical_structure",
@@ -167,6 +168,49 @@ def _try_structure(group: Group, p: int, a: int, q: int, b: int) -> FrobeniusStr
     )
 
 
+def check_census_bounds(max_order: int, verify_up_to: int = 0) -> None:
+    """Raise what :func:`census` would raise for these bounds, before any work.
+
+    A negative or zero order is a ValueError, as is a negative
+    verification bound; an order past MAX_CENSUS_ORDER, or a verified
+    entry past the materialization threshold, is a ScaleError.
+    """
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if max_order > MAX_CENSUS_ORDER:
+        raise ScaleError(f"census to order {max_order} exceeds the limit {MAX_CENSUS_ORDER}")
+    if verify_up_to < 0:
+        raise ValueError(f"verify_up_to must be >= 0, got {verify_up_to}")
+    cap = max_materialize()
+    first = first_census_order(cap, min(max_order, verify_up_to))
+    if first is not None:
+        raise ScaleError(f"census verification of order {first} exceeds threshold {cap}")
+
+
+def first_census_order(lo: int, hi: int) -> int | None:
+    """The least order in (lo, hi] of a census entry, from (p, a, q, b) alone.
+
+    The units mod p^a form a cyclic group of order p^(a-1) (p - 1) for odd
+    p, so some r in [2, p^a) has r^(q^b) = 1 iff q divides p - 1; mod 2^a
+    the units form a 2-group, and no odd q^b has such an r.  Every such r
+    is well defined, so a tuple has entries iff p is odd and q | p - 1.
+    """
+    best = None
+    if hi <= lo:
+        return best
+    for p in primes_upto(hi // 2)[1:]:
+        for q, _ in factorize(p - 1):
+            pa = p
+            while pa * q <= hi:
+                order = pa * q
+                while order <= lo:
+                    order *= q
+                if order <= hi and (best is None or order < best):
+                    best = order
+                pa *= p
+    return best
+
+
 @dataclass(frozen=True)
 class CensusEntry:
     params: MetacyclicParams
@@ -185,10 +229,7 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
     with the arithmetic flag.  Output is sorted by ascending group order,
     then lexicographically by (p, a, q, b, r).
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_order > MAX_CENSUS_ORDER:
-        raise ScaleError(f"census to order {max_order} exceeds the limit {MAX_CENSUS_ORDER}")
+    check_census_bounds(max_order, verify_up_to)
     entries: list[CensusEntry] = []
     primes = primes_upto(max_order // 2)
     for p in primes:
@@ -209,6 +250,7 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
             a += 1
     entries.sort(key=lambda e: (e.params.order, e.params.p, e.params.a, e.params.q, e.params.b, e.params.r))
     if verify_up_to:
+        # the check_census_bounds verdict, read off the entries themselves
         cap = max_materialize()
         too_large = [e.params.order for e in entries if e.flags.well_defined and cap < e.params.order <= verify_up_to]
         if too_large:

@@ -558,7 +558,10 @@ class PermutationGroup(Group):
                 if not depth:
                     raise ValueError(f"unbalanced parenthesis in cycle notation: {text!r}")
                 depth = 0
-                pts = [int(x) for x in current.replace(",", " ").split()]
+                try:
+                    pts = [int(x) for x in current.replace(",", " ").split()]
+                except ValueError:
+                    raise ValueError(f"cycle points must be integers: {text!r}") from None
                 if pts:
                     cycles.append(pts)
             elif depth:
@@ -708,7 +711,10 @@ class MetacyclicGroup(Group):
             parts = t[1:-1].split(",")
             if len(parts) != 2:
                 raise ValueError(f"metacyclic element descriptor must be (i,j), got {text!r}")
-            i, j = (int(x) for x in parts)
+            try:
+                i, j = (int(x) for x in parts)
+            except ValueError:
+                raise ValueError(f"metacyclic coordinates must be integers, got {text!r}") from None
             if not (0 <= i < self.pa and 0 <= j < self.qb):
                 raise ValueError(f"coordinates {text!r} out of range ({self.pa}, {self.qb})")
             return self.index_of_pair(i, j)
@@ -852,6 +858,13 @@ class CyclicPoset:
         return self._maximal_subgroups
 
     # -- node masks -----------------------------------------------------------
+
+    def mask_of(self, xs) -> int:
+        """The nodes the elements xs generate, as a mask."""
+        sub_of, out = self.sub_of, 0
+        for x in xs:
+            out |= 1 << sub_of[x]
+        return out
 
     def meet(self, mask: int) -> int:
         """The nodes comparable with every node of `mask`, as a mask; all

@@ -8,9 +8,9 @@ Two operating modes:
   generator sets of the subgroups comparable with <x>, so it is one k-bit
   comparability mask shared by the generators of <x>.  Closed twins are
   the subgroups with equal masks, star vertices generate the subgroups
-  whose mask is full, and a closure N[N[X]] is two AND folds over node
-  masks; an element set is expanded from generator sets only where one
-  is returned.  The same-generator (diamond) partition is the nodes.
+  whose mask is full, and the one closure kernel, ``closure_mask``, takes
+  N[N[X]] as two meets over node masks and memoizes node masks.  Element
+  sets are expanded only where returned; the diamond partition is the nodes.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x short-circuits on order
   divisibility and then costs one set lookup: either the other element
@@ -106,7 +106,7 @@ class PowerGraph:
         self._fixed_cache: dict[int, _Fixed] = {}
         self._class_records: dict[int, object] = {}
         self._class_masks: list[int] = []
-        self._closures: dict[int, frozenset[int]] = {}
+        self._closures: dict[int, int] = {}
         self._neighborhoods: dict[int, list] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
@@ -144,15 +144,6 @@ class PowerGraph:
                 self._neighborhoods[x] = nb
         return nb
 
-    def _common_mask(self, xs) -> int:
-        """The AND of the comparability masks of xs: their common
-        neighbourhood as a node mask."""
-        poset = self._poset
-        comp, sub_of, m = poset.comp, poset.sub_of, poset.full
-        for x in xs:
-            m &= comp[sub_of[x]]
-        return m
-
     # -- adjacency ------------------------------------------------------------
 
     def adjacent_or_equal(self, x: int, y: int) -> bool:
@@ -183,9 +174,10 @@ class PowerGraph:
 
         Lazily, one pass over C(x0) for the x0 in xs of largest order.
         """
+        poset = self._poset
+        if poset is not None:
+            return poset.expand(poset.meet(poset.mask_of(xs)))
         xs = frozenset(xs)
-        if self._poset is not None:
-            return self._poset.expand(self._common_mask(xs))
         if not xs:
             raise ScaleError(
                 "common neighbourhood of the empty set is the whole group; "
@@ -206,20 +198,12 @@ class PowerGraph:
         for any z0 in the common neighbourhood, and one pass over C(z0)
         finds it.
 
-        Materialized, the closure is the set of nodes comparable with every
-        node of the common neighbourhood's node mask m.  It depends only on
-        m, so it is computed and expanded once per distinct m and kept.
+        Materialized, it is :meth:`closure_mask` of xs's nodes, expanded.
         """
-        xs = frozenset(xs)
         poset = self._poset
         if poset is not None:
-            m = self._common_mask(xs)
-            hat = self._closures.get(m)
-            if hat is None:
-                hat = poset.expand(poset.meet(m))
-                if len(self._closures) < _CACHE_CAP:
-                    self._closures[m] = hat
-            return hat
+            return poset.expand(self.closure_mask(poset.mask_of(xs)))
+        xs = frozenset(xs)
         if not xs:
             return self.star_vertices()
         g = self.group
@@ -238,6 +222,18 @@ class PowerGraph:
         z0 = next((w for w in common if w != e), e)
         hat = self._common(self._subgroup_reps(common), g.centralizer_words(z0))
         return frozenset(map(g.index_of, hat))
+
+    def closure_mask(self, mask: int) -> int:
+        """The closure of a node mask: the nodes comparable with every node
+        of its common neighbourhood m = meet(mask), kept per distinct m."""
+        poset = self._require_materialized("closure on node masks")
+        m = poset.meet(mask)
+        hat = self._closures.get(m)
+        if hat is None:
+            hat = poset.meet(m)
+            if len(self._closures) < _CACHE_CAP:
+                self._closures[m] = hat
+        return hat
 
     def _subgroup_reps(self, words) -> list[_Fixed]:
         """One fixed element per cyclic subgroup the words generate, the
@@ -400,6 +396,11 @@ class PowerGraph:
                 kept[t] = nb
         return members
 
+    def node_rows(self) -> list[int]:
+        """N[x] as an n-bit row for each node, shared by its generators."""
+        poset = self._require_materialized("power-graph rows")
+        return [sum(1 << x for x in poset.expand(c)) for c in poset.comp]
+
     # -- enhanced power graph ----------------------------------------------------
 
     def enhanced_adjacent(self, x: int, y: int) -> bool:
@@ -460,9 +461,8 @@ def _rows(graph: PowerGraph, kind: str) -> list[int]:
     """One n-bit closed-neighbourhood row per element, for exports only."""
     if kind == "enhanced":
         return graph.enhanced_rows()
-    poset = graph._require_materialized("graph export")
-    node_rows = [sum(1 << x for x in poset.expand(c)) for c in poset.comp]
-    return [node_rows[s] for s in poset.sub_of]
+    node_rows = graph.node_rows()
+    return [node_rows[s] for s in graph.group.cyclic_poset().sub_of]
 
 
 def _edge_list(rows: list[int]) -> list[list[int]]:

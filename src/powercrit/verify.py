@@ -5,7 +5,8 @@ symmetric, generalized quaternion, the metacyclic census family, and
 small elementary abelian products) and records every violation with the
 group spec and offending element.  The closure, criticality and
 partitions suites share one walk of the family, with one power graph per
-group.  The suites back both the `verify` CLI command and the acceptance
+group, and the theorems suite reads the walk's verdicts on its metacyclic
+groups.  The suites back both the `verify` CLI command and the acceptance
 tests.
 """
 
@@ -23,12 +24,15 @@ from .criticality import (
     plain_critical_by_overgroups,
 )
 from .frobenius import (
+    MetacyclicParams,
     census,
+    check_census_bounds,
     eppo_metacyclic_equivalence_check,
     recognize_critical_structure,
 )
 from .groups import (
     Group,
+    MetacyclicGroup,
     exponent_and_pi,
     make_cyclic,
     make_dihedral,
@@ -147,29 +151,40 @@ def _sample(bits, n: int, k: int) -> frozenset[int]:
 
 
 def _check_closure(res: SuiteResult, graph: PowerGraph, bits, subsets: int) -> None:
+    """The Moore-closure laws on random subsets, as node-mask algebra.
+
+    A closure is a union of whole generator sets, so an element set lies
+    inside it iff the nodes the set generates do.  Idempotence is a
+    property of the closure alone, so it is computed once per distinct
+    closure of the group and counted at every draw.
+    """
     group = graph.group
     n = group.order
     if n > CLOSURE_ORDER_CAP:
         return
-    star = graph.star_vertices()
+    poset = group.cyclic_poset()
+    mask_of, closure_mask = poset.mask_of, graph.closure_mask
+    star = mask_of(graph.star_vertices())
+    idempotent: dict[int, bool] = {}
     for _ in range(subsets):
         size = _below(bits, min(n, 12) + 1)
         xs = _sample(bits, n, size)
-        hat = graph.closure(xs)
-        res.check(xs <= hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
-        res.check(
-            graph.closure(hat) == hat,
-            lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}",
-        )
+        xm = mask_of(xs)
+        hat = closure_mask(xm)
+        res.check(not xm & ~hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
+        fixed = idempotent.get(hat)
+        if fixed is None:
+            fixed = idempotent[hat] = closure_mask(hat) == hat
+        res.check(fixed, lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}")
         extra = _below(bits, min(n - size, 4) + 1)
-        ys = xs | _sample(bits, n, min(n, size + extra))
+        more = _sample(bits, n, min(n, size + extra))
         res.check(
-            hat <= graph.closure(ys),
-            lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(ys)}",
+            not hat & ~closure_mask(xm | mask_of(more)),
+            lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(xs | more)}",
         )
         if xs:
             res.check(
-                hat >= (xs | star),
+                not (xm | star) & ~hat,
                 lambda: f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
             )
 
@@ -245,9 +260,11 @@ def _check_criticality(res: SuiteResult, graph: PowerGraph) -> None:
     )
     _check_overgroup_oracle(res, graph, records)
     if group.order <= CLOSURE_ORDER_CAP:
-        erows = graph.enhanced_rows()
+        # every element's enhanced row must hold its power-graph row N[x]
+        erows, rows = graph.enhanced_rows(), graph.node_rows()
+        sub_of = group.cyclic_poset().sub_of
         res.check(
-            all((erows[x] >> y) & 1 for x in range(group.order) for y in graph.closed_neighborhood(x)),
+            all(erow & rows[s] == rows[s] for erow, s in zip(erows, sub_of)),
             f"{group.descriptor}: power-graph edge missing from the enhanced graph",
         )
 
@@ -365,14 +382,20 @@ def suite_partitions(family: list[Group]) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _walk(family: Iterable[Group], names, subsets: int = CLOSURE_SUBSETS) -> list[SuiteResult]:
+def _walk(
+    family: Iterable[Group],
+    names,
+    subsets: int = CLOSURE_SUBSETS,
+    verdicts: dict[MetacyclicParams, bool] | None = None,
+) -> list[SuiteResult]:
     """Run the per-group suites `names` in one pass over `family`.
 
     Each group gets one PowerGraph, shared by the suites' checks and
     dropped before the next group is built, so its twin partition, class
     records and closures are derived once.  Each suite keeps its own
     result and check order; the closure subsets come from one generator
-    across the family.
+    across the family.  With `verdicts`, the graph criticality of every
+    metacyclic group walked is filed there under its parameters.
     """
     bits = random.Random(0xC0FFEE).getrandbits
     per_group = {
@@ -387,7 +410,10 @@ def _walk(family: Iterable[Group], names, subsets: int = CLOSURE_SUBSETS) -> lis
     for graph in map(PowerGraph, family):
         for res, check in suites:
             check(res, graph)
-        del graph  # with its memos and group, before the next group's graph
+        g = graph.group
+        if verdicts is not None and isinstance(g, MetacyclicGroup):
+            verdicts[MetacyclicParams(g.p, g.a, g.q, g.b, g.r)] = classify_group(graph).is_critical_group
+        del graph, g  # with its memos and group, before the next group's graph
     results = [res for res, _ in suites]
     for res in results:
         if res.name == "criticality":
@@ -400,17 +426,30 @@ def _walk(family: Iterable[Group], names, subsets: int = CLOSURE_SUBSETS) -> lis
 # ---------------------------------------------------------------------------
 
 
-def suite_theorems(max_order: int) -> SuiteResult:
+def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None = None) -> SuiteResult:
+    """The census cross-check to `max_order`: each tuple's arithmetic
+    critical flag against the graph's classification of its group, and
+    the paper's theorems on the critical tuples.
+
+    A tuple's classification is read from `verdicts` (filed by the family
+    walk) when it is there.  Other tuples, and the critical ones, whose
+    groups are rebuilt for the theorems anyway, are classified here.
+    """
     res = SuiteResult("theorems")
-    entries = census(max_order, verify_up_to=max_order, all_r=True)
+    check_census_bounds(max_order, max_order)
+    verdicts = verdicts or {}
     eppo_not_frobenius = 0
-    for entry in entries:
+    for entry in census(max_order, all_r=True):
         m = entry.params
         tag = f"M:{m.p},{m.a},{m.q},{m.b},{m.r}"
+        is_critical = None if entry.flags.critical else verdicts.get(m)
+        if is_critical is None:
+            group = make_metacyclic(m.p, m.a, m.q, m.b, m.r)
+            graph = PowerGraph(group)
+            is_critical = classify_group(graph).is_critical_group
         res.check(
-            entry.graph_agrees is True,
-            f"{tag}: graph criticality {entry.graph_is_critical} vs "
-            f"arithmetic flag {entry.flags.critical}",
+            is_critical == entry.flags.critical,
+            f"{tag}: graph criticality {is_critical} vs arithmetic flag {entry.flags.critical}",
         )
         if entry.flags.eppo and not entry.flags.frobenius:
             eppo_not_frobenius += 1
@@ -419,13 +458,11 @@ def suite_theorems(max_order: int) -> SuiteResult:
             res.check(v.applicable and v.passed is True, f"{tag}: {v.detail}")
         if not entry.flags.critical:
             continue
-        group = make_metacyclic(m.p, m.a, m.q, m.b, m.r)
         fs = recognize_critical_structure(group)
         res.check(
             fs is not None and (fs.p, fs.a, fs.q, fs.b) == (m.p, m.a, m.q, m.b),
             f"{tag}: builder/recognizer round-trip failed",
         )
-        graph = PowerGraph(group)
         res.check(
             graph.star_vertices() == frozenset({group.identity}),
             f"{tag}: critical group has star vertices beyond the identity",
@@ -461,13 +498,20 @@ def run_suites(names, max_order: int) -> list[SuiteResult]:
     """The requested suites, in request order; "all" runs every suite.
 
     The closure, criticality and partitions suites share one walk of the
-    built-in family; the theorems suite runs on the census.
+    built-in family; the theorems suite runs on the census and reads the
+    walk's verdicts for the metacyclic groups it walked.
     """
     requested = list(SUITE_NAMES) if "all" in names else list(names)
     walked = [name for name in requested if name != "theorems"]
+    verdicts = None
+    if "theorems" in requested:
+        # the census bounds are rejected before the walk, and the walk
+        # files its metacyclic groups' verdicts for the census cross-check
+        check_census_bounds(max_order, max_order)
+        verdicts = {}
     # groups are built as the walk reaches them and dropped after it, with
     # their posets
-    by_name = {res.name: res for res in _walk(_family(max_order), walked)} if walked else {}
+    by_name = {res.name: res for res in _walk(_family(max_order), walked, verdicts=verdicts)} if walked else {}
     if "theorems" in requested:
-        by_name["theorems"] = suite_theorems(max_order)
+        by_name["theorems"] = suite_theorems(max_order, verdicts)
     return [by_name[name] for name in requested]

@@ -220,6 +220,10 @@ def test_exit_code_scale_error_metacyclic_centralizer_walk(capsys):
         (["census", "--max-order", "2000000000"], "census to order 2000000000 exceeds the limit"),
         # refused before any group is built: the first order past 4096 is 4105
         (["census", "--max-order", "4200", "--verify-up-to", "4200"], "order 4105 exceeds threshold 4096"),
+        # the theorems suite's census bound is checked before the family walk
+        (["verify", "--suite", "all", "--max-order", "5000"], "census verification of order 4105 exceeds threshold 4096"),
+        # and before the census enumerates every tuple to 100,000
+        (["verify", "--suite", "theorems", "--max-order", "100000"], "order 4105 exceeds threshold 4096"),
     ],
 )
 def test_exit_code_scale_error_before_the_work(capsys, argv, message):
@@ -228,6 +232,23 @@ def test_exit_code_scale_error_before_the_work(capsys, argv, message):
     assert time.perf_counter() - started < 1.0
     assert code == 3 and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["census", "--max-order", "10", "--verify-up-to", "-1"], "error: verify_up_to must be >= 0, got -1\n"),
+        (
+            ["analyze", "M:7,1,3,1,2", "--element", "(1,)"],
+            "error: metacyclic coordinates must be integers, got '(1,)'\n",
+        ),
+        (["analyze", "S:4", "--element", "(1 a)"], "error: cycle points must be integers: '(1 a)'\n"),
+    ],
+)
+def test_exit_code_usage_error_is_worded(capsys, argv, message):
+    started = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", message)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_huge_lazy_metacyclic_identity_is_not_factored(capsys):

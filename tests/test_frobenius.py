@@ -18,7 +18,9 @@ from powercrit import (
     recognize_critical_structure,
     validate,
 )
-from powercrit.frobenius import _try_structure
+from powercrit import frobenius
+from powercrit.errors import ScaleError
+from powercrit.frobenius import _try_structure, check_census_bounds, first_census_order
 from powercrit.numtheory import factorize
 from powercrit.verify import builtin_family
 
@@ -145,6 +147,29 @@ def test_census_sorted_and_verified_to_500():
     assert orders == sorted(orders)
     assert all(e.graph_agrees is True for e in entries)
     assert sorted({e.params.order for e in entries if e.flags.critical}) == [100, 500]
+
+
+def test_first_census_order_matches_the_enumeration():
+    # a tuple has entries iff p is odd and q | p - 1; the listing is the oracle
+    orders = sorted({e.params.order for e in census(3000, all_r=True)})
+    for lo in range(0, 3000, 37):
+        for hi in sorted({lo, lo + 1, min(lo + 60, 3000), 3000}):
+            expected = next((o for o in orders if lo < o <= hi), None)
+            assert first_census_order(lo, hi) == expected, (lo, hi)
+
+
+@pytest.mark.parametrize("cap", [1, 20, 100, 500])
+def test_census_bounds_precheck_agrees_with_the_post_enumeration_check(monkeypatch, cap):
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", str(cap))
+    first = min(e.params.order for e in census(1000, all_r=True) if e.params.order > cap)
+    message = f"census verification of order {first} exceeds threshold {cap}$"
+    with pytest.raises(ScaleError, match=message):
+        check_census_bounds(1000, 1000)
+    check_census_bounds(1000, first - 1)
+    # with the arithmetic check off, the check on the listed entries says the same
+    monkeypatch.setattr(frobenius, "first_census_order", lambda lo, hi: None)
+    with pytest.raises(ScaleError, match=message):
+        census(1000, verify_up_to=first)
 
 
 def test_census_critical_round_trip():

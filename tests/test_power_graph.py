@@ -145,16 +145,24 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     subsets = [frozenset()] + [frozenset({x}) for x in range(g.order)]
     subsets += [frozenset(rng.sample(range(g.order), rng.randint(2, min(g.order, 8)))) for _ in range(40)]
     expected = [brute_closure(g, xs) for xs in subsets]
+    poset = g.cyclic_poset()
+
+    def kernel(graph):
+        return [poset.expand(graph.closure_mask(poset.mask_of(xs))) for xs in subsets]
+
     pg = PowerGraph(g)
-    # the second pass is answered from the closure memo
+    # the second pass is answered from the closure memo, which holds node masks
     for _ in range(2):
         assert [pg.closure(xs) for xs in subsets] == expected
+        assert kernel(pg) == expected
+    assert all(type(hat) is int for hat in pg._closures.values())
     # past the memo's cap, misses are still computed, just not kept
     monkeypatch.setattr(power_graph, "_CACHE_CAP", 4)
     capped = PowerGraph(g)
     assert len({capped.common_neighborhood(xs) for xs in subsets}) > 4
     for _ in range(2):
         assert [capped.closure(xs) for xs in subsets] == expected
+        assert kernel(capped) == expected
     assert len(capped._closures) == 4
     # lazily, a twin class reads its common neighbourhood off the N[x] kept
     # for its members; with the memo full, N[x] is filtered again instead
@@ -343,10 +351,20 @@ def test_power_graph_subset_of_enhanced():
         pg = PowerGraph(g)
         erows = pg.enhanced_rows()
         rows = brute_rows(g)
+        # one n-bit N[x] row per cyclic subgroup, shared by its generators
+        node_rows = pg.node_rows()
+        assert [node_rows[s] for s in g.cyclic_poset().sub_of] == rows
         for x in range(g.order):
             nb = pg.closed_neighborhood(x)
             assert nb == frozenset(y for y in range(g.order) if (rows[x] >> y) & 1)
             assert all((erows[x] >> y) & 1 for y in nb)
+
+
+def test_node_mask_queries_need_materialized_mode():
+    lazy = PowerGraph(S4, materialize=False)
+    for query in (lazy.node_rows, lambda: lazy.closure_mask(1)):
+        with pytest.raises(ScaleError, match="needs materialized mode"):
+            query()
 
 
 # -- exports -----------------------------------------------------------------------------

@@ -4,15 +4,18 @@ import weakref
 
 import pytest
 
-from powercrit import PowerGraph, make_cyclic
+from powercrit import MetacyclicParams, PowerGraph, census, make_cyclic, make_dihedral
+from powercrit import verify
 from powercrit.verify import (
     SUITE_NAMES,
     SuiteResult,
     _below,
+    _check_criticality,
     _sample,
     builtin_family,
     run_suites,
     suite_closure,
+    suite_theorems,
 )
 
 
@@ -46,21 +49,66 @@ def test_check_builds_callable_message_only_on_failure():
 
 
 def test_closure_suite_failure_text(monkeypatch):
-    calls = []
+    draws = []
+    sample = verify._sample
 
-    def empty_closure(graph, xs):
-        calls.append(sorted(xs))
-        return frozenset()
+    def recording(bits, n, k):
+        draws.append(sample(bits, n, k))
+        return draws[-1]
 
-    monkeypatch.setattr(PowerGraph, "closure", empty_closure)
+    monkeypatch.setattr(verify, "_sample", recording)
+    monkeypatch.setattr(PowerGraph, "closure_mask", lambda graph, mask: 0)
     res = suite_closure([make_cyclic(5)], subsets=20)
-    # three closures per subset: xs, its closure, a superset; with every
-    # closure empty, extensivity and the star law fail on each non-empty xs
+    # two draws per subset: xs, then the part added to its superset; with
+    # every closure empty, extensivity and the star law fail on each
+    # non-empty xs
     expected = []
-    for xs in calls[::3]:
+    for xs in map(sorted, draws[::2]):
         if xs:
             expected += [f"C:5: closure not extensive on {xs}", f"C:5: closure misses the star set on {xs}"]
-    assert expected and res.failures == expected
+    assert len(draws) == 40 and expected and res.failures == expected
+
+
+def test_criticality_suite_tests_every_element_inside_the_enhanced_graph(monkeypatch):
+    # generators of one cyclic subgroup share their power-graph row, but
+    # each element's enhanced row is tested: an edge dropped at any
+    # generator, the least one or not, fails the check
+    group = make_dihedral(15)
+    poset = group.cyclic_poset()
+    message = "D:15: power-graph edge missing from the enhanced graph"
+    enhanced = PowerGraph.enhanced_rows
+    res = SuiteResult("criticality")
+    _check_criticality(res, PowerGraph(group))
+    assert res.passed
+    non_least = [x for gens in poset.gens for x in gens if x != min(gens)]
+    assert len(non_least) == 11
+    for x in non_least:
+        y = poset.least[poset.sub_of[x]]
+
+        def dropped(graph, x=x, y=y):
+            rows = enhanced(graph)
+            return rows[:x] + [rows[x] & ~(1 << y)] + rows[x + 1 :]
+
+        monkeypatch.setattr(PowerGraph, "enhanced_rows", dropped)
+        res = SuiteResult("criticality")
+        _check_criticality(res, PowerGraph(group))
+        assert res.failures == [message], x
+
+
+def test_theorems_suite_reads_the_walk_verdicts():
+    # a verdict filed by the walk replaces the rebuild of that tuple; the
+    # critical tuples are classified on their own rebuilt graphs
+    entries = census(60, all_r=True)
+    assert not any(e.flags.critical for e in entries)
+    honest = {e.params: False for e in entries}
+    assert suite_theorems(60, honest).failures == suite_theorems(60).failures == []
+    m = entries[0].params
+    flipped = dict(honest)
+    flipped[m] = True
+    tag = f"M:{m.p},{m.a},{m.q},{m.b},{m.r}"
+    assert suite_theorems(60, flipped).failures == [f"{tag}: graph criticality True vs arithmetic flag False"]
+    critical = MetacyclicParams(5, 2, 2, 2, 7)
+    assert suite_theorems(100, {critical: False}).passed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2**40 + 7])
@@ -120,3 +168,22 @@ def test_family_walk_builds_one_graph_per_group(monkeypatch):
     assert [res.name for res in results] == ["closure", "criticality", "partitions"]
     assert all(res.passed for res in results)
     assert len(alive) == 2 * (len(builtin_family(60)) + 59)
+
+
+def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
+    # the walk files a verdict for each of the 76 census tuples to 120, so
+    # the theorems suite builds graphs only for its 2 critical tuples and
+    # its 2 EPPO checks, on top of the family and the dihedral sweep
+    builds = []
+    build = PowerGraph.__init__
+
+    def counting(graph, *args, **kwargs):
+        builds.append(None)
+        build(graph, *args, **kwargs)
+
+    monkeypatch.setattr(PowerGraph, "__init__", counting)
+    results = run_suites(["all"], 120)
+    monkeypatch.undo()
+    assert all(res.passed for res in results)
+    assert len(census(120, all_r=True)) == 76 and len(builtin_family(120)) == 266
+    assert len(builds) == 266 + 59 + 2 + 2 == 329
