@@ -299,8 +299,11 @@ def cmd_export(args) -> int:
 
 
 def _write_text(path: str, payload: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def _compound_params(g: Group, members: frozenset[int], rep: int) -> CompoundPar
             f"compound parameters disagree for class of {g.element_label(root)}: "
             f"size gives s={s_size}, order profile gives s={s_prof} (p={p}, r={r})"
         )
-    expected = frozenset(z for z in g.powers(root) if g.element_order(z) >= p ** (s_size + 1))
+    expected = frozenset(z for z in g.members(root) if g.element_order(z) >= p ** (s_size + 1))
     if expected != members:
         raise InternalConsistencyError(
             f"class of {g.element_label(root)} does not match its parameter formula"

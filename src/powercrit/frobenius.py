@@ -271,20 +271,21 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
 
 def eppo_metacyclic_equivalence_check(
     params: MetacyclicParams,
-    group: Group | None = None,
+    graph: PowerGraph | None = None,
     flags: ParamFlags | None = None,
 ) -> Verdict:
     """For EPPO tuples with a, b >= 2: frobenius flag iff graph-critical.
 
-    `flags` may be supplied explicitly so harness self-tests can feed a
-    deliberately wrong flag and watch the check fail.
+    `graph`, the power graph of the tuple's group, is built here unless
+    given.  `flags` may be supplied explicitly so harness self-tests can
+    feed a deliberately wrong flag and watch the check fail.
     """
     flags = flags if flags is not None else validate(params)
     if not (flags.well_defined and flags.eppo and params.a >= 2 and params.b >= 2):
         return Verdict(False, None, "requires a well-defined EPPO tuple with a, b >= 2")
-    if group is None:
-        group = make_metacyclic(params.p, params.a, params.q, params.b, params.r)
-    is_crit = classify_group(PowerGraph(group)).is_critical_group
+    if graph is None:
+        graph = PowerGraph(make_metacyclic(params.p, params.a, params.q, params.b, params.r))
+    is_crit = classify_group(graph).is_critical_group
     return Verdict(
         True,
         flags.frobenius == is_crit,

@@ -108,9 +108,9 @@ class Group(ABC):
 
     Queries are logically pure.  A group at or below the materialization
     threshold (read once, at construction) answers ``element_order``,
-    ``powers``, ``members`` and ``cyclic_generators`` from its
-    :class:`CyclicPoset`, built on first use and kept; a larger group
-    walks the powers of the queried element on every call.
+    ``members`` and ``cyclic_generators`` from its :class:`CyclicPoset`,
+    built on first use and kept; a larger group walks the powers of the
+    queried element on every call, as ``powers`` does in every group.
     """
 
     identity: int = 0
@@ -150,10 +150,7 @@ class Group(ABC):
         return self.word_order(self.word_of(a))
 
     def powers(self, a: int) -> tuple[int, ...]:
-        """(1, a, a^2, ...): the cyclic subgroup generated by a, in power order."""
-        poset = self._materialized_poset()
-        if poset is not None:
-            return poset.powers_of(a)
+        """(1, a, a^2, ...): the cyclic subgroup generated by a, walked in power order."""
         return tuple(self.index_powers(a))
 
     def members(self, a: int) -> frozenset[int]:
@@ -283,18 +280,6 @@ class RotationReflectionGroup(Group):
         m = self.m
         return -a % m if a < m else (a + self.twist) % m + m
 
-    def word_powers(self, w: int) -> list[int]:
-        """(1, w, w^2, ...) in closed form, with no product: a^i has order
-        m / gcd(i, m) and (a^i)^k = a^(ik); a reflection r squares to
-        a^twist, so r has order 2 under D and powers (1, r, a^twist, r^-1)
-        under Q."""
-        m = self.m
-        if w < m:
-            o = m // math.gcd(w, m)
-            self._check_walk(o)
-            return [w * k % m for k in range(o)]
-        return [0, w, self.twist, self.inv(w)] if self.twist else [0, w]
-
 
 # The bench tracer counts products through this name; it goes with the
 # bench change that reads spans and counters from the package.
@@ -315,17 +300,6 @@ class DirectProductGroup(Group):
     def inv(self, a: int) -> int:
         nh = self.h.order
         return self.g.inv(a // nh) * nh + self.h.inv(a % nh)
-
-    def word_powers(self, w: int) -> list[int]:
-        """(1, w, w^2, ...) with no product here: (g, h)^k = (g^k, h^k), so
-        the factors' power lists are zipped, each repeated, to the lcm of
-        their lengths."""
-        g, h, nh = self.g, self.h, self.h.order
-        pg, ph = g.index_powers(w // nh), h.index_powers(w % nh)
-        og, oh = len(pg), len(ph)
-        o = math.lcm(og, oh)
-        self._check_walk(o)
-        return [pg[k % og] * nh + ph[k % oh] for k in range(o)]
 
 
 def _scale_error(what: str, order, cap: int) -> ScaleError:
@@ -764,8 +738,8 @@ class CyclicPoset:
     Walking the elements in index order, each element not yet seen
     generates a new cyclic subgroup and is its least generator.  Subgroup
     ids follow that walk: ``sub_of[a]`` is the id of <a>, ``least[s]`` the
-    least generator of s, ``gens[s]`` all its generators, ``powers[s]``
-    its powers (1, g, g^2, ...) and ``exp_of[a]`` the k with a = g^k.  <g>
+    least generator of s, ``gens[s]`` all its generators and ``powers[s]``
+    the powers (1, g, g^2, ...) of its least generator g.  <g>
     of order o contains exactly one subgroup of each order d dividing o,
     namely <g^(o/d)>, so containment is read off each subgroup's powers at
     its divisor positions.
@@ -782,7 +756,6 @@ class CyclicPoset:
     def __init__(self, group: Group):
         n = group.order
         sub_of = [-1] * n
-        exp_of = [0] * n
         least: list[int] = []
         gens: list[tuple[int, ...]] = []
         powers: list[tuple[int, ...]] = []
@@ -796,7 +769,6 @@ class CyclicPoset:
                 units = units_of[len(pw)] = _units(len(pw))
             for k in units:
                 sub_of[pw[k]] = len(powers)
-                exp_of[pw[k]] = k
             least.append(x)
             gens.append(tuple(pw[k] for k in units))
             powers.append(pw)
@@ -812,7 +784,6 @@ class CyclicPoset:
                     maximal[below] = False
             comp[t] |= down
         self.sub_of = sub_of
-        self.exp_of = exp_of
         self.least = least
         self.gens = gens
         self.powers = powers
@@ -826,15 +797,6 @@ class CyclicPoset:
         self._members: list[frozenset[int] | None] = [None] * len(powers)
         self._generators: list[frozenset[int] | None] = [None] * len(powers)
         self._maximal_subgroups: tuple[CyclicSubgroup, ...] | None = None
-
-    def powers_of(self, a: int) -> tuple[int, ...]:
-        """(1, a, a^2, ...), re-indexed from the stored powers of <a>."""
-        pw = self.powers[self.sub_of[a]]
-        k = self.exp_of[a]
-        if k == 1:
-            return pw
-        o = len(pw)
-        return tuple(pw[j * k % o] for j in range(o))
 
     def members(self, s: int) -> frozenset[int]:
         got = self._members[s]

@@ -60,7 +60,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             while j < n and text[j].isspace():
                 j += 1
             d = j
-            while d < n and text[d].isdigit():
+            while d < n and "0" <= text[d] <= "9":
                 d += 1
             if d == j:
                 raise GroupSpecError(f"expected integer at position {j} in {fam!r} arguments")

@@ -433,7 +433,8 @@ def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None
 
     A tuple's classification is read from `verdicts` (filed by the family
     walk) when it is there.  Other tuples, and the critical ones, whose
-    groups are rebuilt for the theorems anyway, are classified here.
+    groups are rebuilt for the theorems anyway, are classified here, and
+    their graphs go on to the EPPO check.
     """
     res = SuiteResult("theorems")
     check_census_bounds(max_order, max_order)
@@ -443,6 +444,7 @@ def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None
         m = entry.params
         tag = f"M:{m.p},{m.a},{m.q},{m.b},{m.r}"
         is_critical = None if entry.flags.critical else verdicts.get(m)
+        graph = None
         if is_critical is None:
             group = make_metacyclic(m.p, m.a, m.q, m.b, m.r)
             graph = PowerGraph(group)
@@ -454,7 +456,7 @@ def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None
         if entry.flags.eppo and not entry.flags.frobenius:
             eppo_not_frobenius += 1
         if entry.flags.eppo and m.a >= 2 and m.b >= 2:
-            v = eppo_metacyclic_equivalence_check(m, flags=entry.flags)
+            v = eppo_metacyclic_equivalence_check(m, graph, flags=entry.flags)
             res.check(v.applicable and v.passed is True, f"{tag}: {v.detail}")
         if not entry.flags.critical:
             continue

@@ -243,12 +243,30 @@ def test_exit_code_scale_error_before_the_work(capsys, argv, message):
             "error: metacyclic coordinates must be integers, got '(1,)'\n",
         ),
         (["analyze", "S:4", "--element", "(1 a)"], "error: cycle points must be integers: '(1 a)'\n"),
+        # a superscript passes str.isdigit but is no decimal digit
+        (["analyze", "C:\u00b2"], "error: expected integer at position 2 in 'C' arguments\n"),
     ],
 )
 def test_exit_code_usage_error_is_worded(capsys, argv, message):
     started = time.perf_counter()
     assert run(capsys, *argv) == (2, "", message)
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["export", "C:4", "--output", str(d / "missing" / "x")],
+        lambda d: ["analyze", "D:3", "--dot", str(d), "--json", "--stable"],
+    ],
+    ids=["export into a missing directory", "analyze --dot onto a directory"],
+)
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_huge_lazy_metacyclic_identity_is_not_factored(capsys):
@@ -348,6 +366,16 @@ GOLDEN = {
     ("analyze", "C:1", "--json", "--stable"): "fa6092a78857fab8cef333fb7eae89cfe0f574c9fe2e08223b69ae16cb668d28",
     ("export", "S:4", "--format", "json", "--graph", "enhanced"): (
         "4ad10a5ddbae7b64a7ed27dbd0bbe77df0a2379439eb5358fa0e4fb827813dc2"
+    ),
+    # the benchmark's analyze groups, at the materialization threshold
+    ("analyze", "C:4096", "--json", "--stable"): "95d806531558672800e839cfb4b9a12cb52a82a4f03a79f83dad29a9c4aa62e3",
+    ("analyze", "D:2000", "--json", "--stable"): "42750fc84d6f9b90461eeac5d4eea3caec6a6da5651096ac0d16b16de04946a8",
+    ("analyze", "Q:11", "--json", "--stable"): "8e07aecd9e02e8ab8c8ccfb570edaa59ca4f0cb7e80dd5a58e7565bcd119d590",
+    ("analyze", "C:2 x D:1000", "--json", "--stable"): (
+        "05452ac591b4e4f314b457b84770de8b28ddf71d3c0b61234ec1be18d45798fa"
+    ),
+    ("analyze", "M:17,2,2,2,38", "--json", "--stable"): (
+        "c104ccf9653e451e1649de18e3e17cb6df0d480ca98687776a77e167a7c2ed2d"
     ),
 }
 

@@ -232,6 +232,9 @@ def test_eppo_equivalence_check():
     params = MetacyclicParams(5, 2, 2, 2, 7)
     v = eppo_metacyclic_equivalence_check(params)
     assert v.applicable and v.passed is True
+    # a graph handed in is classified, not rebuilt
+    v = eppo_metacyclic_equivalence_check(params, PowerGraph(make_metacyclic(5, 2, 2, 2, 7)))
+    assert v.applicable and v.passed is True
     # not applicable below exponent 2
     v = eppo_metacyclic_equivalence_check(MetacyclicParams(5, 1, 2, 2, 2))
     assert not v.applicable

@@ -13,11 +13,13 @@ from conftest import (
     assert_products_match,
     assert_products_match_sampled,
     brute_powers,
+    cycle_type_element,
     int64_cyclic,
     int64_dihedral,
     int64_direct_product,
     int64_quaternion,
     int64_table,
+    integer_partitions,
 )
 from powercrit import (
     Group,
@@ -406,18 +408,50 @@ SMALL_PRODUCTS = [
 ]
 
 
-def test_word_powers_closed_forms_match_the_mul_walk():
+def test_word_powers_match_the_mul_walk_and_word_pow():
     groups = [make_cyclic(n) for n in range(1, 61)]
     groups += [make_dihedral(n) for n in range(2, 41)]
     groups += [make_generalized_quaternion(n) for n in range(3, 9)]
     groups += [make_direct_product(parse_group_spec(a), parse_group_spec(b)) for a, b in SMALL_PRODUCTS]
     for group in groups:
         for x in range(group.order):
-            assert group.word_powers(x) == brute_powers(group, x), (group.descriptor, x)
+            pw = brute_powers(group, x)
+            assert group.word_powers(x) == pw, (group.descriptor, x)
+            assert group.powers(x) == tuple(group.power(x, k) for k in range(len(pw))), (group.descriptor, x)
     # the generators at the threshold: a rotation of order 4096 or 2000, a reflection
     c, d = make_cyclic(4096), make_dihedral(2000)
     for group, x in ((c, 1), (d, 1), (d, 2000), (d, 3999)):
         assert group.word_powers(x) == brute_powers(group, x), (group.descriptor, x)
+
+
+def test_symmetric_element_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    # S_k up to 6 reads orders off its poset, S_7 and S_8 walk words
+    for degree in range(1, 9):
+        g = make_symmetric(degree)
+        for parts in integer_partitions(degree):
+            points = iter(range(degree))
+            cycles = [[next(points) for _ in range(m)] for m in parts]
+            expected = combinatorics.Permutation(cycles, size=degree).order()
+            x = cycle_type_element(g, parts)
+            assert g.element_order(x) == len(g.powers(x)) == expected, parts
+
+
+@pytest.mark.parametrize("spec", ["S:3 x C:4", "D:4 x Q:3", "C:4 x D:3", "Q:3 x S:3"])
+def test_direct_product_element_orders_match_sympy(spec):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from sympy.combinatorics.group_constructs import DirectProduct
+    from sympy.combinatorics.named_groups import CyclicGroup, DihedralGroup, SymmetricGroup
+
+    perm = combinatorics.Permutation
+    # Q_8 on 8 points, from generators independent of the rotation-reflection indexing
+    q8 = combinatorics.PermutationGroup([perm([[0, 1, 3, 6], [2, 5, 7, 4]]), perm([[0, 2, 3, 7], [1, 4, 6, 5]])])
+    named = {"S:3": SymmetricGroup(3), "C:4": CyclicGroup(4), "D:3": DihedralGroup(3), "D:4": DihedralGroup(4), "Q:3": q8}
+    left, right = spec.split(" x ")
+    expected = Counter(x.order() for x in DirectProduct(named[left], named[right]).elements)
+    g = parse_group_spec(spec)
+    assert Counter(map(g.element_order, range(g.order))) == expected
+    assert Counter(len(g.powers(x)) for x in range(g.order)) == expected
 
 
 def test_generated_subgroup():

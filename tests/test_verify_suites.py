@@ -172,8 +172,9 @@ def test_family_walk_builds_one_graph_per_group(monkeypatch):
 
 def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
     # the walk files a verdict for each of the 76 census tuples to 120, so
-    # the theorems suite builds graphs only for its 2 critical tuples and
-    # its 2 EPPO checks, on top of the family and the dihedral sweep
+    # the theorems suite builds graphs only for its 2 critical tuples,
+    # whose EPPO checks reuse them, on top of the family and the dihedral
+    # sweep
     builds = []
     build = PowerGraph.__init__
 
@@ -186,4 +187,4 @@ def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
     monkeypatch.undo()
     assert all(res.passed for res in results)
     assert len(census(120, all_r=True)) == 76 and len(builtin_family(120)) == 266
-    assert len(builds) == 266 + 59 + 2 + 2 == 329
+    assert len(builds) == 266 + 59 + 2 == 327
