@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, ScaleError
+from .errors import InternalConsistencyError
 from .groups import Group, generated_subgroup_words
 from .numtheory import as_prime_power, euler_phi
 from .power_graph import PowerGraph
@@ -176,11 +176,8 @@ def classify_group(graph: PowerGraph) -> GroupKind:
 
     The group is critical [plain, compound] when every non-identity
     element is.  Short-circuits as soon as all three flags are settled.
+    A lazy graph is refused by its twin partition.
     """
-    if not graph.materialized:
-        raise ScaleError(
-            f"group classification needs materialized mode (order {graph.group.order})"
-        )
     g = graph.group
     if g.order == 1:
         return GroupKind(False, False, False)

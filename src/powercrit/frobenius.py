@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Iterator
 
 from .criticality import classify_group
 from .errors import ScaleError
@@ -40,6 +41,7 @@ __all__ = [
     "MetacyclicParams",
     "ParamFlags",
     "census",
+    "census_tuples",
     "check_census_bounds",
     "eppo_metacyclic_equivalence_check",
     "exists_for",
@@ -48,7 +50,8 @@ __all__ = [
 ]
 
 
-# A census to this order takes about a minute (every r < p^a is tried).
+# A census to this order takes about half a minute: every r < p^a is
+# tried, for the tuples with q | p - 1 alone.
 MAX_CENSUS_ORDER = 100_000
 
 
@@ -133,8 +136,7 @@ def recognize_critical_structure(group: Group) -> FrobeniusStructure | None:
     complement on the kernel is fixed-point-free.  Both are read off the
     orders of the cyclic subgroups.
     """
-    if group.order > max_materialize():
-        raise ScaleError(f"structure recognition unsupported at order {group.order}")
+    group.poset("structure recognition")
     fact = factorize(group.order)
     if len(fact) != 2:
         return None
@@ -182,33 +184,29 @@ def check_census_bounds(max_order: int, verify_up_to: int = 0) -> None:
     if verify_up_to < 0:
         raise ValueError(f"verify_up_to must be >= 0, got {verify_up_to}")
     cap = max_materialize()
-    first = first_census_order(cap, min(max_order, verify_up_to))
+    orders = (p**a * q**b for p, a, q, b in census_tuples(min(max_order, verify_up_to)))
+    first = min((order for order in orders if order > cap), default=None)
     if first is not None:
         raise ScaleError(f"census verification of order {first} exceeds threshold {cap}")
 
 
-def first_census_order(lo: int, hi: int) -> int | None:
-    """The least order in (lo, hi] of a census entry, from (p, a, q, b) alone.
+def census_tuples(max_order: int) -> Iterator[tuple[int, int, int, int]]:
+    """The (p, a, q, b) with p^a * q^b <= max_order that have census entries.
 
     The units mod p^a form a cyclic group of order p^(a-1) (p - 1) for odd
     p, so some r in [2, p^a) has r^(q^b) = 1 iff q divides p - 1; mod 2^a
     the units form a 2-group, and no odd q^b has such an r.  Every such r
     is well defined, so a tuple has entries iff p is odd and q | p - 1.
     """
-    best = None
-    if hi <= lo:
-        return best
-    for p in primes_upto(hi // 2)[1:]:
+    for p in primes_upto(max_order // 2)[1:]:
         for q, _ in factorize(p - 1):
-            pa = p
-            while pa * q <= hi:
-                order = pa * q
-                while order <= lo:
-                    order *= q
-                if order <= hi and (best is None or order < best):
-                    best = order
-                pa *= p
-    return best
+            pa, a = p, 1
+            while pa * q <= max_order:
+                qb, b = q, 1
+                while pa * qb <= max_order:
+                    yield p, a, q, b
+                    qb, b = qb * q, b + 1
+                pa, a = pa * p, a + 1
 
 
 @dataclass(frozen=True)
@@ -231,30 +229,14 @@ def census(max_order: int, verify_up_to: int = 0, all_r: bool = False) -> list[C
     """
     check_census_bounds(max_order, verify_up_to)
     entries: list[CensusEntry] = []
-    primes = primes_upto(max_order // 2)
-    for p in primes:
-        pa, a = p, 1
-        while pa * 2 <= max_order:
-            for q in primes:
-                if q == p:
-                    continue
-                qb, b = q, 1
-                while pa * qb <= max_order:
-                    rs = [r for r in range(2, pa) if pow(r, qb, pa) == 1]
-                    for r in rs if all_r else rs[:1]:
-                        params = MetacyclicParams(p, a, q, b, r)
-                        entries.append(CensusEntry(params, validate(params)))
-                    qb *= q
-                    b += 1
-            pa *= p
-            a += 1
+    for p, a, q, b in census_tuples(max_order):
+        pa, qb = p**a, q**b
+        rs = [r for r in range(2, pa) if pow(r, qb, pa) == 1]
+        for r in rs if all_r else rs[:1]:
+            params = MetacyclicParams(p, a, q, b, r)
+            entries.append(CensusEntry(params, validate(params)))
     entries.sort(key=lambda e: (e.params.order, e.params.p, e.params.a, e.params.q, e.params.b, e.params.r))
     if verify_up_to:
-        # the check_census_bounds verdict, read off the entries themselves
-        cap = max_materialize()
-        too_large = [e.params.order for e in entries if e.flags.well_defined and cap < e.params.order <= verify_up_to]
-        if too_large:
-            raise ScaleError(f"census verification of order {too_large[0]} exceeds threshold {cap}")
         verified = []
         for e in entries:
             if e.flags.well_defined and e.params.order <= verify_up_to:

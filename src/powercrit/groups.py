@@ -69,7 +69,6 @@ __all__ = [
     "max_materialize",
     "maximal_cyclic_subgroups",
     "metacyclic_violation",
-    "require_materialized",
     "spot_check_axioms",
 ]
 
@@ -96,21 +95,17 @@ def max_materialize() -> int:
         ) from None
 
 
-def require_materialized(group: Group, what: str, hint: str = "") -> None:
-    """Refuse `what` on a group past the materialization threshold."""
-    cap = max_materialize()
-    if group.order > cap:
-        raise ScaleError(f"{what} needs materialized mode: order {group.order} exceeds threshold {cap}{hint}")
-
-
 class Group(ABC):
     """Finite group on element indices 0 .. order-1, identity at index 0.
 
-    Queries are logically pure.  A group at or below the materialization
-    threshold (read once, at construction) answers ``element_order``,
-    ``members`` and ``cyclic_generators`` from its :class:`CyclicPoset`,
-    built on first use and kept; a larger group walks the powers of the
-    queried element on every call, as ``powers`` does in every group.
+    Queries are logically pure.  ``materialized`` says whether the order is
+    at or below the materialization threshold, which is read here, once, at
+    construction; power graphs of the group take their mode from it.  A
+    materialized group answers ``element_order``, ``members`` and
+    ``cyclic_generators`` from its :class:`CyclicPoset`, built on first use
+    and kept; a larger group walks the powers of the queried element on
+    every call, as ``powers`` does in every group.  :meth:`poset` is the
+    one refusal of whole-group work past the threshold.
     """
 
     identity: int = 0
@@ -118,7 +113,8 @@ class Group(ABC):
     def __init__(self, order: int, descriptor: str):
         self.order = order
         self.descriptor = descriptor
-        self._materialized = order <= max_materialize()
+        self._threshold = max_materialize()
+        self.materialized = order <= self._threshold
         self._poset: CyclicPoset | None = None
 
     # -- index API ---------------------------------------------------------
@@ -140,8 +136,16 @@ class Group(ABC):
             self._poset = CyclicPoset(self)
         return self._poset
 
+    def poset(self, what: str, hint: str = "") -> CyclicPoset:
+        """The kept poset, for `what`; refused past the threshold."""
+        if not self.materialized:
+            raise ScaleError(
+                f"{what} needs materialized mode: order {self.order} exceeds threshold {self._threshold}{hint}"
+            )
+        return self.cyclic_poset()
+
     def _materialized_poset(self) -> CyclicPoset | None:
-        return self.cyclic_poset() if self._materialized else None
+        return self.cyclic_poset() if self.materialized else None
 
     def element_order(self, a: int) -> int:
         poset = self._materialized_poset()
@@ -229,7 +233,7 @@ class Group(ABC):
     def word_powers(self, w) -> list:
         """Like :meth:`powers` but on words, walked on every call.  Above the
         threshold the order is read first, and a long walk refused."""
-        if not self._materialized:
+        if not self.materialized:
             self._check_walk(self.word_order(w))
         e = self.word_of(self.identity)
         seq, x = [e], w
@@ -240,7 +244,7 @@ class Group(ABC):
 
     def _check_walk(self, o: int) -> None:
         """Refuse, above the threshold, to list the o powers of an element."""
-        if not self._materialized and o > MAX_CENTRALIZER_WALK:
+        if not self.materialized and o > MAX_CENTRALIZER_WALK:
             raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
 
     def scan(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, object]]:
@@ -895,13 +899,7 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     Sorted by descending order then least generator.  Every element of the
     group lies in at least one of them.  The poset builds them once.
     """
-    poset = group._materialized_poset()
-    if poset is None:
-        raise ScaleError(
-            f"maximal cyclic subgroup enumeration unsupported at order {group.order} "
-            f"(threshold {max_materialize()})"
-        )
-    return list(poset.maximal_subgroups())
+    return list(group.poset("maximal cyclic subgroup enumeration").maximal_subgroups())
 
 
 def is_maximal_element(group: Group, x: int) -> bool:

@@ -19,10 +19,8 @@ from .groups import (
     Group,
     generated_subgroup,
     is_maximal_element,
-    max_materialize,
     maximal_cyclic_subgroups,
 )
-from .errors import ScaleError
 from .numtheory import PrimePower, as_prime_power, is_prime
 from .power_graph import PowerGraph
 
@@ -107,11 +105,7 @@ def hughes_thompson(group: Group, p: int, within=None) -> frozenset[int]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if within is None:
-        if group.order > max_materialize():
-            raise ScaleError(
-                f"Hughes-Thompson subgroup over a full group of order {group.order} "
-                "is unsupported; pass an explicit member pool"
-            )
+        group.poset("Hughes-Thompson subgroup over the full group", "; pass an explicit member pool")
         pool = range(group.order)
     else:
         pool = sorted(within)

@@ -86,6 +86,7 @@ class PowerGraph:
     """Adjacency oracle for the power graph of a finite group.
 
     Logically read-only after construction; lazy queries memoize only.
+    The mode is the group's ``materialized`` unless `materialize` forces one.
     """
 
     def __init__(
@@ -96,9 +97,7 @@ class PowerGraph:
     ):
         self.group = group
         self.enhanced_cap = enhanced_cap
-        if materialize is None:
-            materialize = group.order <= max_materialize()
-        self.materialized = bool(materialize)
+        self.materialized = group.materialized if materialize is None else bool(materialize)
         self._poset: CyclicPoset | None = None
         self._erows: list[int] | None = None
         self._twin: TwinPartition | None = None

@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
-from .groups import Group, exponent_and_pi, require_materialized
+from .groups import Group, exponent_and_pi
 from .partitions import cyclic_partition
 from .power_graph import PowerGraph
 
@@ -405,7 +405,7 @@ def analyze_group(group: Group, graph: PowerGraph | None = None) -> dict:
     """Full analysis report for one group (materialized scale)."""
     from .frobenius import recognize_critical_structure
 
-    require_materialized(group, "full analysis", "; use a per-element query instead")
+    group.poset("full analysis", "; use a per-element query instead")
     graph = graph if graph is not None else PowerGraph(group)
     pi, is_eppo = exponent_and_pi(group)
     star = sorted(graph.star_vertices())

@@ -505,12 +505,10 @@ def run_suites(names, max_order: int) -> list[SuiteResult]:
     """
     requested = list(SUITE_NAMES) if "all" in names else list(names)
     walked = [name for name in requested if name != "theorems"]
-    verdicts = None
-    if "theorems" in requested:
-        # the census bounds are rejected before the walk, and the walk
-        # files its metacyclic groups' verdicts for the census cross-check
-        check_census_bounds(max_order, max_order)
-        verdicts = {}
+    # every suite rejects the bound the census rejects, before any work; the
+    # walk files its metacyclic groups' verdicts for the census cross-check
+    check_census_bounds(max_order, max_order)
+    verdicts = {} if "theorems" in requested else None
     # groups are built as the walk reaches them and dropped after it, with
     # their posets
     by_name = {res.name: res for res in _walk(_family(max_order), walked, verdicts=verdicts)} if walked else {}

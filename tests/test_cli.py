@@ -224,6 +224,10 @@ def test_exit_code_scale_error_metacyclic_centralizer_walk(capsys):
         (["verify", "--suite", "all", "--max-order", "5000"], "census verification of order 4105 exceeds threshold 4096"),
         # and before the census enumerates every tuple to 100,000
         (["verify", "--suite", "theorems", "--max-order", "100000"], "order 4105 exceeds threshold 4096"),
+        # the family walked by the other suites stops at order 600, but they
+        # reject the same bounds, before the walk
+        (["verify", "--suite", "closure", "--max-order", "100000"], "census verification of order 4105 exceeds"),
+        (["verify", "--suite", "partitions", "--max-order", "5000"], "census verification of order 4105 exceeds"),
     ],
 )
 def test_exit_code_scale_error_before_the_work(capsys, argv, message):
@@ -376,6 +380,14 @@ GOLDEN = {
     ),
     ("analyze", "M:17,2,2,2,38", "--json", "--stable"): (
         "c104ccf9653e451e1649de18e3e17cb6df0d480ca98687776a77e167a7c2ed2d"
+    ),
+    # census listings, recorded while the enumeration still tried every prime q
+    ("census", "--max-order", "1200", "--verify-up-to", "1200", "--all-r", "--json"): (
+        "fa0214f06770455f7dfb092a5e916b1b5f547c47bb913e0da49b2b4ae849f6c8"
+    ),
+    ("census", "--max-order", "5000"): "106f0fbe368b30811d3469e0d3f9cdc2ad6fdb65fd5351ea130936feac704c45",
+    ("census", "--max-order", "10000", "--all-r", "--json"): (
+        "ad4ede4d8ca67990d40abf7f5e73a22a5582d8702968d3effdb25cf38fb10645"
     ),
 }
 

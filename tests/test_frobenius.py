@@ -18,10 +18,9 @@ from powercrit import (
     recognize_critical_structure,
     validate,
 )
-from powercrit import frobenius
 from powercrit.errors import ScaleError
-from powercrit.frobenius import _try_structure, check_census_bounds, first_census_order
-from powercrit.numtheory import factorize
+from powercrit.frobenius import _try_structure, census_tuples, check_census_bounds
+from powercrit.numtheory import factorize, primes_upto
 from powercrit.verify import builtin_family
 
 
@@ -149,25 +148,35 @@ def test_census_sorted_and_verified_to_500():
     assert sorted({e.params.order for e in entries if e.flags.critical}) == [100, 500]
 
 
-def test_first_census_order_matches_the_enumeration():
-    # a tuple has entries iff p is odd and q | p - 1; the listing is the oracle
-    orders = sorted({e.params.order for e in census(3000, all_r=True)})
-    for lo in range(0, 3000, 37):
-        for hi in sorted({lo, lo + 1, min(lo + 60, 3000), 3000}):
-            expected = next((o for o in orders if lo < o <= hi), None)
-            assert first_census_order(lo, hi) == expected, (lo, hi)
+def test_census_tuples_match_the_range_scan():
+    # the enumeration census_tuples replaced is the oracle: every pair of
+    # distinct primes, kept when some r in [2, p^a) has r^(q^b) = 1 mod p^a
+    primes = primes_upto(1500)
+    scanned = set()
+    for p in primes:
+        pa, a = p, 1
+        while pa * 2 <= 3000:
+            for q in primes:
+                qb, b = q, 1
+                while q != p and pa * qb <= 3000:
+                    if any(pow(r, qb, pa) == 1 for r in range(2, pa)):
+                        scanned.add((p, a, q, b))
+                    qb, b = qb * q, b + 1
+            pa, a = pa * p, a + 1
+    tuples = list(census_tuples(3000))
+    assert len(tuples) == len(set(tuples)) == len(scanned)
+    assert set(tuples) == scanned
 
 
 @pytest.mark.parametrize("cap", [1, 20, 100, 500])
 def test_census_bounds_precheck_agrees_with_the_post_enumeration_check(monkeypatch, cap):
+    # the bound check and the census both name the first listed order past the cap
     monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", str(cap))
     first = min(e.params.order for e in census(1000, all_r=True) if e.params.order > cap)
     message = f"census verification of order {first} exceeds threshold {cap}$"
     with pytest.raises(ScaleError, match=message):
         check_census_bounds(1000, 1000)
     check_census_bounds(1000, first - 1)
-    # with the arithmetic check off, the check on the listed entries says the same
-    monkeypatch.setattr(frobenius, "first_census_order", lambda lo, hi: None)
     with pytest.raises(ScaleError, match=message):
         census(1000, verify_up_to=first)
 

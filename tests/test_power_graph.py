@@ -26,6 +26,7 @@ from powercrit import (
     make_generalized_quaternion,
     make_metacyclic,
     make_symmetric,
+    maximal_cyclic_subgroups,
 )
 from powercrit import power_graph
 from powercrit.groupspec import parse_group_spec
@@ -358,6 +359,26 @@ def test_power_graph_subset_of_enhanced():
             nb = pg.closed_neighborhood(x)
             assert nb == frozenset(y for y in range(g.order) if (rows[x] >> y) & 1)
             assert all((erows[x] >> y) & 1 for y in nb)
+
+
+def test_graph_takes_its_mode_from_the_group(monkeypatch):
+    # the group reads the threshold once, when it is built; a later change
+    # of the setting moves neither the group nor the graphs built on it
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "10")
+    lazy_group = make_symmetric(4)
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "100")
+    mat_group = make_symmetric(4)
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
+    message = "^maximal cyclic subgroup enumeration needs materialized mode: order 24 exceeds threshold 10$"
+    with pytest.raises(ScaleError, match=message):
+        maximal_cyclic_subgroups(lazy_group)
+    assert (lazy_group.materialized, mat_group.materialized) == (False, True)
+    assert PowerGraph(lazy_group).mode == "lazy"
+    assert PowerGraph(mat_group).mode == "materialized"
+    assert len(maximal_cyclic_subgroups(mat_group)) == 13
+    # the oracle tests still force a mode
+    assert PowerGraph(lazy_group, materialize=True).mode == "materialized"
+    assert PowerGraph(mat_group, materialize=False).mode == "lazy"
 
 
 def test_node_mask_queries_need_materialized_mode():
