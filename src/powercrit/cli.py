@@ -13,7 +13,9 @@ import functools
 import json
 import sys
 import time
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
 from .groupspec import parse_group_spec
@@ -285,22 +287,30 @@ def cmd_export(args) -> int:
     group.poset("graph export")
     graph = PowerGraph(group)
     if args.format == "dot":
-        payload = export_dot(graph, args.graph)
+        chunks = export_dot(graph, args.graph)
     else:
         doc = export_json_graph(graph, args.graph)
         validate_document(doc, GRAPH_EXPORT_SCHEMA)
-        payload = _dump(doc)
+        chunks = (_dump(doc),)
     if args.output:
-        _write_text(args.output, payload)
+        _write_text(args.output, chunks)
     else:
-        sys.stdout.write(payload)
+        _write_batched(sys.stdout, chunks)
     return EXIT_OK
 
 
-def _write_text(path: str, payload: str) -> None:
+def _write_batched(out, chunks: Iterable[str]) -> None:
+    """Write `chunks` as they come, joined 8192 at a time (one write per
+    DOT line is slow on a pipe)."""
+    chunks = iter(chunks)
+    while joined := "".join(islice(chunks, 8192)):
+        out.write(joined)
+
+
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            _write_batched(fh, chunks)
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 

@@ -9,8 +9,9 @@ Two operating modes:
   comparability mask shared by the generators of <x>.  Closed twins are
   the subgroups with equal masks, star vertices generate the subgroups
   whose mask is full, and the one closure kernel, ``closure_mask``, takes
-  N[N[X]] as two meets over node masks and memoizes node masks.  Element
-  sets are expanded only where returned; the diamond partition is the nodes.
+  N[N[X]] as two meets over node masks, the second memoized per result of
+  the first (``closure_of_meet``).  Element sets are expanded only where
+  returned; the diamond partition is the nodes.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x short-circuits on order
   divisibility and then costs one set lookup: either the other element
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ScaleError
 from .groups import CyclicPoset, Group, generated_subgroup_words, max_materialize
@@ -223,13 +225,16 @@ class PowerGraph:
         return frozenset(map(g.index_of, hat))
 
     def closure_mask(self, mask: int) -> int:
-        """The closure of a node mask: the nodes comparable with every node
-        of its common neighbourhood m = meet(mask), kept per distinct m."""
-        poset = self._require_materialized("closure on node masks")
-        m = poset.meet(mask)
+        """The closure of a node mask: :meth:`closure_of_meet` of its common
+        neighbourhood meet(mask)."""
+        return self.closure_of_meet(self._require_materialized("closure on node masks").meet(mask))
+
+    def closure_of_meet(self, m: int) -> int:
+        """The nodes comparable with every node of the common neighbourhood
+        `m` (a node mask), kept per distinct m."""
         hat = self._closures.get(m)
         if hat is None:
-            hat = poset.meet(m)
+            hat = self._require_materialized("closure on node masks").meet(m)
             if len(self._closures) < _CACHE_CAP:
                 self._closures[m] = hat
         return hat
@@ -396,9 +401,19 @@ class PowerGraph:
         return members
 
     def node_rows(self) -> list[int]:
-        """N[x] as an n-bit row for each node, shared by its generators."""
+        """N[x] as an n-bit row for each node, shared by its generators: the
+        OR of the generator bitmasks of the nodes comparable with it."""
         poset = self._require_materialized("power-graph rows")
-        return [sum(1 << x for x in poset.expand(c)) for c in poset.comp]
+        gen_bits = [sum(1 << x for x in gens) for gens in poset.gens]
+        rows = []
+        for c in poset.comp:
+            row = 0
+            while c:
+                bit = c & -c
+                row |= gen_bits[bit.bit_length() - 1]
+                c ^= bit
+            rows.append(row)
+        return rows
 
     # -- enhanced power graph ----------------------------------------------------
 
@@ -464,17 +479,13 @@ def _rows(graph: PowerGraph, kind: str) -> list[int]:
     return [node_rows[s] for s in graph.group.cyclic_poset().sub_of]
 
 
-def _edge_list(rows: list[int]) -> list[list[int]]:
-    edges = []
+def _edge_list(rows: list[int]) -> Iterator[tuple[int, int]]:
+    """The edges (i, j), i < j, of the rows' graph, in row order."""
     for i, row in enumerate(rows):
-        rest = row >> (i + 1)
-        j = i + 1
-        while rest:
-            if rest & 1:
-                edges.append([i, j])
-            rest >>= 1
-            j += 1
-    return edges
+        # the row's bits above i, lowest first, as binary digits
+        for j, digit in enumerate(bin(row >> (i + 1))[:1:-1], i + 1):
+            if digit == "1":
+                yield i, j
 
 
 def export_json_graph(graph: PowerGraph, kind: str = "power") -> dict:
@@ -483,12 +494,13 @@ def export_json_graph(graph: PowerGraph, kind: str = "power") -> dict:
     g = graph.group
     return {
         "vertices": [{"id": i, "order": g.element_order(i)} for i in range(g.order)],
-        "edges": _edge_list(rows),
+        "edges": [[i, j] for i, j in _edge_list(rows)],
     }
 
 
-def export_dot(graph: PowerGraph, kind: str = "power") -> str:
-    """DOT rendering with twin classes as same-colour clusters.
+def export_dot(graph: PowerGraph, kind: str = "power") -> Iterator[str]:
+    """DOT rendering with twin classes as same-colour clusters, yielded
+    one newline-terminated line at a time.
 
     Vertex ordering, cluster numbering and colours are all deterministic,
     so identical invocations give byte-identical output.
@@ -496,17 +508,16 @@ def export_dot(graph: PowerGraph, kind: str = "power") -> str:
     rows = _rows(graph, kind)
     g = graph.group
     twin = graph.twin_partition()
-    lines = [f'graph "{kind}({g.descriptor})" {{']
-    lines.append("  node [shape=ellipse, style=filled];")
+    yield f'graph "{kind}({g.descriptor})" {{\n'
+    yield "  node [shape=ellipse, style=filled];\n"
     for cid, members in enumerate(twin.classes):
         color = _PALETTE[cid % len(_PALETTE)]
-        lines.append(f"  subgraph cluster_{cid} {{")
-        lines.append(f'    label="class {cid}";')
+        yield f"  subgraph cluster_{cid} {{\n"
+        yield f'    label="class {cid}";\n'
         for x in sorted(members):
             lbl = g.element_label(x).replace('"', r"\"")
-            lines.append(f'    {x} [label="{lbl} : {g.element_order(x)}", fillcolor="{color}"];')
-        lines.append("  }")
+            yield f'    {x} [label="{lbl} : {g.element_order(x)}", fillcolor="{color}"];\n'
+        yield "  }\n"
     for i, j in _edge_list(rows):
-        lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {i} -- {j};\n"
+    yield "}\n"

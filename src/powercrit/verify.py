@@ -6,8 +6,9 @@ small elementary abelian products) and records every violation with the
 group spec and offending element.  The closure, criticality and
 partitions suites share one walk of the family, with one power graph per
 group, and the theorems suite reads the walk's verdicts on its metacyclic
-groups.  The suites back both the `verify` CLI command and the acceptance
-tests.
+groups.  The closure suite draws the subsets random.Random.sample would
+from one seeded generator and enters the closure kernel at its memo.  The
+suites back both the `verify` CLI command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from functools import cache, reduce
+from operator import and_, or_
+from typing import Callable, Collection, Iterable, Iterator
 
 from .criticality import (
     class_records,
@@ -71,11 +74,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, message: str | Callable[[], str]) -> None:
-        """Count one check; record `message` (called first, if callable) on failure."""
+    def check(self, ok: bool, message: str) -> None:
+        """Count one check; record `message` on failure."""
         self.checks += 1
         if not ok:
-            self.failures.append(message() if callable(message) else message)
+            self.failures.append(message)
 
 
 def builtin_family(max_order: int) -> list[Group]:
@@ -108,85 +111,101 @@ def _family(max_order: int) -> Iterator[Group]:
 # ---------------------------------------------------------------------------
 
 
-def _below(bits, n: int) -> int:
-    """random.Random.randrange(n) from the generator's `getrandbits`,
-    by the same rejection of draws of n.bit_length() bits."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+@cache
+def _pool_limit(k: int) -> int:
+    """The largest population random.Random.sample(population, k) draws
+    from a shuffled pool rather than a set of picks."""
+    return 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
 
 
-def _sample(bits, n: int, k: int) -> frozenset[int]:
-    """The set random.Random.sample(range(n), k) returns, from the same bits.
-
-    The suite makes 129,200 draws at order 300, and the stdlib call,
-    which checks its population type and builds a result list, costs more
-    than the closure checks they feed; the draws stay bit-exact, so the
-    suite checks the same subsets.  Like the stdlib, it shuffles a pool
-    when a list of n is smaller than a set of k, keeping only the slots
-    that moved, and otherwise redraws repeats.  Each index is drawn by
-    :func:`_below`'s rejection, inlined.
+def _sampler(bits, n: int) -> Callable[[int], Collection[int]]:
+    """k -> the set random.Random.sample(range(n), k) returns, from the same
+    bits: a shuffled pool up to the pool limit, else repeats redrawn, each
+    index by randbelow's rejection.  Each pool slot's rejection width and
+    the pool to copy are tabled once per group.
     """
-    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        moved: dict[int, int] = {}
-        out = []
-        for last in range(n - 1, n - 1 - k, -1):
-            width = (last + 1).bit_length()
-            j = bits(width)
-            while j > last:
+    slots = [(last, (last + 1).bit_length()) for last in range(n - 1, -1, -1)]
+    base = list(range(n))
+
+    def sample(k: int) -> Collection[int]:
+        if n <= _pool_limit(k):
+            pool, out = base[:], []
+            for last, width in slots[:k]:
                 j = bits(width)
-            out.append(moved.get(j, j))
-            moved[j] = moved.get(last, last)
-        return frozenset(out)
-    chosen: set[int] = set()
-    width = n.bit_length()
-    while len(chosen) < k:
-        j = bits(width)
-        if j < n:
-            chosen.add(j)
-    return frozenset(chosen)
+                while j > last:
+                    j = bits(width)
+                out.append(pool[j])
+                pool[j] = pool[last]
+            return out
+        chosen: set[int] = set()
+        width = n.bit_length()
+        while len(chosen) < k:
+            j = bits(width)
+            if j < n:
+                chosen.add(j)
+        return chosen
+
+    return sample
+
+
+def _subset_pairs(bits, n: int, subsets: int) -> Iterator[tuple[Collection[int], Collection[int]]]:
+    """The closure suite's `subsets` draws on a group of order n, as pairs
+    (xs, more): the sets random.Random's calls size = randrange(min(n, 12)
+    + 1), sample(range(n), size), extra = randrange(min(n - size, 4) + 1)
+    and sample(range(n), min(n, size + extra)) return from the same bits."""
+    sample = _sampler(bits, n)
+    top = min(n, 12)
+    width = (top + 1).bit_length()
+    for _ in range(subsets):
+        size = bits(width)
+        while size > top:
+            size = bits(width)
+        xs = sample(size)
+        room = min(n - size, 4)
+        extra = bits((room + 1).bit_length())
+        while extra > room:
+            extra = bits((room + 1).bit_length())
+        yield xs, sample(min(n, size + extra))
 
 
 def _check_closure(res: SuiteResult, graph: PowerGraph, bits, subsets: int) -> None:
     """The Moore-closure laws on random subsets, as node-mask algebra.
 
     A closure is a union of whole generator sets, so an element set lies
-    inside it iff the nodes the set generates do.  Idempotence is a
-    property of the closure alone, so it is computed once per distinct
-    closure of the group and counted at every draw.
+    inside it iff the nodes the set generates do.  Each subset's node mask
+    and common neighbourhood are folded from per-element tables, and the
+    closure kernel is entered at its memo, keyed on the common
+    neighbourhood.  Idempotence is checked once per distinct closure.
     """
     group = graph.group
     n = group.order
     if n > CLOSURE_ORDER_CAP:
         return
     poset = group.cyclic_poset()
-    mask_of, closure_mask = poset.mask_of, graph.closure_mask
-    star = mask_of(graph.star_vertices())
+    bit_of = [1 << s for s in poset.sub_of]
+    comp_of = [poset.comp[s] for s in poset.sub_of]
+    full, closure_of_meet, fail = poset.full, graph.closure_of_meet, res.failures.append
+    star = poset.mask_of(graph.star_vertices())
     idempotent: dict[int, bool] = {}
-    for _ in range(subsets):
-        size = _below(bits, min(n, 12) + 1)
-        xs = _sample(bits, n, size)
-        xm = mask_of(xs)
-        hat = closure_mask(xm)
-        res.check(not xm & ~hat, lambda: f"{group.descriptor}: closure not extensive on {sorted(xs)}")
+    nonempty = 0
+    for xs, more in _subset_pairs(bits, n, subsets):
+        xm = reduce(or_, map(bit_of.__getitem__, xs), 0)
+        m = reduce(and_, map(comp_of.__getitem__, xs), full)
+        hat = closure_of_meet(m)
+        if xm & ~hat:
+            fail(f"{group.descriptor}: closure not extensive on {sorted(xs)}")
         fixed = idempotent.get(hat)
         if fixed is None:
-            fixed = idempotent[hat] = closure_mask(hat) == hat
-        res.check(fixed, lambda: f"{group.descriptor}: closure not idempotent on {sorted(xs)}")
-        extra = _below(bits, min(n - size, 4) + 1)
-        more = _sample(bits, n, min(n, size + extra))
-        res.check(
-            not hat & ~closure_mask(xm | mask_of(more)),
-            lambda: f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted(xs | more)}",
-        )
+            fixed = idempotent[hat] = graph.closure_mask(hat) == hat
+        if not fixed:
+            fail(f"{group.descriptor}: closure not idempotent on {sorted(xs)}")
+        if hat & ~closure_of_meet(reduce(and_, map(comp_of.__getitem__, more), m)):
+            fail(f"{group.descriptor}: closure not monotone on {sorted(xs)} vs {sorted({*xs, *more})}")
         if xs:
-            res.check(
-                not (xm | star) & ~hat,
-                lambda: f"{group.descriptor}: closure misses the star set on {sorted(xs)}",
-            )
+            nonempty += 1
+            if (xm | star) & ~hat:
+                fail(f"{group.descriptor}: closure misses the star set on {sorted(xs)}")
+    res.checks += 3 * subsets + nonempty
 
 
 def suite_closure(family: list[Group], subsets: int = CLOSURE_SUBSETS) -> SuiteResult:
@@ -269,14 +288,19 @@ def _check_criticality(res: SuiteResult, graph: PowerGraph) -> None:
         )
 
 
-def _check_dihedral_sweep(res: SuiteResult) -> None:
+def _has_plain_critical_class(graph: PowerGraph) -> bool:
+    return any(rec.kind == "plain" and rec.is_critical for rec in class_records(graph))
+
+
+def _check_dihedral_sweep(res: SuiteResult, swept: dict[int, bool]) -> None:
+    """The arithmetic profile of D:2 .. D:60 against their class sweeps:
+    read from `swept` where the walk filed them, else built here."""
     for n in range(2, 61):
-        swept = any(
-            rec.kind == "plain" and rec.is_critical
-            for rec in class_records(PowerGraph(make_dihedral(n)))
-        )
+        plain = swept.get(n)
+        if plain is None:
+            plain = _has_plain_critical_class(PowerGraph(make_dihedral(n)))
         res.check(
-            dihedral_plain_critical_profile(n) == swept,
+            dihedral_plain_critical_profile(n) == plain,
             f"D:{n}: arithmetic profile disagrees with the class sweep",
         )
 
@@ -395,7 +419,9 @@ def _walk(
     records and closures are derived once.  Each suite keeps its own
     result and check order; the closure subsets come from one generator
     across the family.  With `verdicts`, the graph criticality of every
-    metacyclic group walked is filed there under its parameters.
+    metacyclic group walked is filed there under its parameters; the
+    criticality suite's dihedral sweep reads whether each D:n walked has
+    a plain critical class, and builds only the D:n the family left out.
     """
     bits = random.Random(0xC0FFEE).getrandbits
     per_group = {
@@ -407,17 +433,20 @@ def _walk(
         if name not in per_group:
             raise ValueError(f"unknown suite {name!r}")
     suites = [(SuiteResult(name), per_group[name]) for name in names]
+    swept: dict[int, bool] | None = {} if "criticality" in names else None
     for graph in map(PowerGraph, family):
         for res, check in suites:
             check(res, graph)
         g = graph.group
         if verdicts is not None and isinstance(g, MetacyclicGroup):
             verdicts[MetacyclicParams(g.p, g.a, g.q, g.b, g.r)] = classify_group(graph).is_critical_group
+        if swept is not None and g.descriptor.startswith("D:"):
+            swept[int(g.descriptor[2:])] = _has_plain_critical_class(graph)
         del graph, g  # with its memos and group, before the next group's graph
     results = [res for res, _ in suites]
     for res in results:
         if res.name == "criticality":
-            _check_dihedral_sweep(res)
+            _check_dihedral_sweep(res, swept)
     return results
 
 

@@ -160,6 +160,16 @@ def test_export_to_file(tmp_path, capsys):
     assert len(json.loads(target.read_text())["edges"]) == 28
 
 
+def test_streamed_dot_file_matches_stdout(tmp_path, capsys):
+    # more lines than one write batch, streamed to a file and to stdout
+    target = tmp_path / "c256.dot"
+    code, out, _ = run(capsys, "export", "C:256", "--format", "dot", "--output", str(target))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "export", "C:256", "--format", "dot")
+    assert code == 0 and out.count("\n") > 8192
+    assert target.read_text() == out
+
+
 # -- exit code contract ------------------------------------------------------------
 
 
@@ -370,6 +380,11 @@ GOLDEN = {
     ("analyze", "C:1", "--json", "--stable"): "fa6092a78857fab8cef333fb7eae89cfe0f574c9fe2e08223b69ae16cb668d28",
     ("export", "S:4", "--format", "json", "--graph", "enhanced"): (
         "4ad10a5ddbae7b64a7ed27dbd0bbe77df0a2379439eb5358fa0e4fb827813dc2"
+    ),
+    # DOT exports, recorded while the text was built whole before writing
+    ("export", "D:60", "--format", "dot"): "3540a66a817de8840446a3e45d1df1460cd8b0764aee499b056c2a3c1245c799",
+    ("export", "S:4", "--format", "dot", "--graph", "enhanced"): (
+        "25a4ae6f9700a2138ba7dc0d8a5aa55291f257d4e14429229b98279eaab51e0b"
     ),
     # the benchmark's analyze groups, at the materialization threshold
     ("analyze", "C:4096", "--json", "--stable"): "95d806531558672800e839cfb4b9a12cb52a82a4f03a79f83dad29a9c4aa62e3",

@@ -383,7 +383,7 @@ def test_graph_takes_its_mode_from_the_group(monkeypatch):
 
 def test_node_mask_queries_need_materialized_mode():
     lazy = PowerGraph(S4, materialize=False)
-    for query in (lazy.node_rows, lambda: lazy.closure_mask(1)):
+    for query in (lazy.node_rows, lambda: lazy.closure_mask(1), lambda: lazy.closure_of_meet(1)):
         with pytest.raises(ScaleError, match="needs materialized mode"):
             query()
 
@@ -407,10 +407,38 @@ def test_export_json_edge_count_matches_brute_force():
 
 def test_export_dot_deterministic():
     pg = PowerGraph(make_cyclic(8))
-    one = export_dot(pg, "power")
-    two = export_dot(PowerGraph(make_cyclic(8)), "power")
+    one = "".join(export_dot(pg, "power"))
+    two = "".join(export_dot(PowerGraph(make_cyclic(8)), "power"))
     assert one == two
     assert "0 -- 1;" in one
     assert one.count(" -- ") == 28
-    enhanced = export_dot(PowerGraph(make_dihedral(3)), "enhanced")
+    enhanced = "".join(export_dot(PowerGraph(make_dihedral(3)), "enhanced"))
     assert enhanced.startswith('graph "enhanced(D:3)"')
+
+
+def joined_dot(graph, kind):
+    """The DOT text built whole, as one string, and edges read one bit at a time."""
+    rows = power_graph._rows(graph, kind)
+    g = graph.group
+    lines = [f'graph "{kind}({g.descriptor})" {{', "  node [shape=ellipse, style=filled];"]
+    for cid, members in enumerate(graph.twin_partition().classes):
+        color = power_graph._PALETTE[cid % len(power_graph._PALETTE)]
+        lines += [f"  subgraph cluster_{cid} {{", f'    label="class {cid}";']
+        for x in sorted(members):
+            lbl = g.element_label(x).replace('"', r"\"")
+            lines.append(f'    {x} [label="{lbl} : {g.element_order(x)}", fillcolor="{color}"];')
+        lines.append("  }")
+    for i, row in enumerate(rows):
+        lines += [f"  {i} -- {j};" for j in range(i + 1, g.order) if (row >> j) & 1]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["C:1", "C:8", "D:15", "S:4", "Q:5", "C:2 x C:4", "M:5,2,2,2,7", "C:3 x S:3"])
+@pytest.mark.parametrize("kind", ["power", "enhanced"])
+def test_streamed_dot_matches_the_joined_text(spec, kind):
+    # every line newline-terminated, and the same bytes as the text built whole
+    graph = PowerGraph(parse_group_spec(spec))
+    lines = list(export_dot(graph, kind))
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert "".join(lines) == joined_dot(graph, kind)

@@ -9,9 +9,9 @@ from powercrit import verify
 from powercrit.verify import (
     SUITE_NAMES,
     SuiteResult,
-    _below,
     _check_criticality,
-    _sample,
+    _pool_limit,
+    _sampler,
     builtin_family,
     run_suites,
     suite_closure,
@@ -40,33 +40,55 @@ def test_run_suites_rejects_unknown():
         run_suites(["bogus"], 24)
 
 
-def test_check_builds_callable_message_only_on_failure():
-    res = SuiteResult("t")
-    res.check(True, lambda: pytest.fail("message built for a passing check"))
-    res.check(False, lambda: "lazy")
-    res.check(False, "eager")
-    assert res.checks == 3 and res.failures == ["lazy", "eager"]
+def _recording_pairs(monkeypatch):
+    """Patch the closure suite's draws to record each group's (n, bits,
+    [(xs, more), ...]) as they are yielded."""
+    drawn = []
+    pairs = verify._subset_pairs
+
+    def recording(bits, n, subsets):
+        drawn.append((n, bits, []))
+        for pair in pairs(bits, n, subsets):
+            drawn[-1][2].append(pair)
+            yield pair
+
+    monkeypatch.setattr(verify, "_subset_pairs", recording)
+    return drawn
 
 
 def test_closure_suite_failure_text(monkeypatch):
-    draws = []
-    sample = verify._sample
-
-    def recording(bits, n, k):
-        draws.append(sample(bits, n, k))
-        return draws[-1]
-
-    monkeypatch.setattr(verify, "_sample", recording)
-    monkeypatch.setattr(PowerGraph, "closure_mask", lambda graph, mask: 0)
+    drawn = _recording_pairs(monkeypatch)
+    monkeypatch.setattr(PowerGraph, "closure_of_meet", lambda graph, m: 0)
     res = suite_closure([make_cyclic(5)], subsets=20)
-    # two draws per subset: xs, then the part added to its superset; with
-    # every closure empty, extensivity and the star law fail on each
-    # non-empty xs
+    # with every closure empty, extensivity and the star law fail on each
+    # non-empty xs, and idempotence and monotonicity hold
     expected = []
-    for xs in map(sorted, draws[::2]):
+    [(n, _, pairs)] = drawn
+    for xs in (sorted(xs) for xs, _ in pairs):
         if xs:
             expected += [f"C:5: closure not extensive on {xs}", f"C:5: closure misses the star set on {xs}"]
-    assert len(draws) == 40 and expected and res.failures == expected
+    assert n == 5 and len(pairs) == 20 and expected and res.failures == expected
+    assert res.checks == 3 * 20 + len(expected) // 2
+
+
+def test_closure_walk_draws_what_the_stdlib_draws(monkeypatch):
+    # every subset of the closure walk to order 300, as a set, against
+    # random.Random's own randrange and sample calls on the same seed; the
+    # walk's generator ends where the stdlib's does
+    drawn = _recording_pairs(monkeypatch)
+    [res] = verify._walk(verify._family(300), ["closure"])
+    assert (res.checks, res.failures) == (252954, [])
+    stdlib = random.Random(0xC0FFEE)
+    for n, _, pairs in drawn:
+        assert len(pairs) == verify.CLOSURE_SUBSETS
+        for xs, more in pairs:
+            size = stdlib.randrange(min(n, 12) + 1)
+            assert set(xs) == set(stdlib.sample(range(n), size)), n
+            extra = stdlib.randrange(min(n - size, 4) + 1)
+            assert set(more) == set(stdlib.sample(range(n), min(n, size + extra))), n
+    assert len(drawn) == 323 and 2 * sum(len(pairs) for _, _, pairs in drawn) == 129200
+    assert len({bits for _, bits, _ in drawn}) == 1
+    assert drawn[0][1].__self__.getrandbits(32) == stdlib.getrandbits(32)
 
 
 def test_criticality_suite_tests_every_element_inside_the_enhanced_graph(monkeypatch):
@@ -113,28 +135,41 @@ def test_theorems_suite_reads_the_walk_verdicts():
 
 @pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2**40 + 7])
 def test_sampler_draws_what_the_stdlib_draws(seed):
-    # the same set and the same bits as random.Random.sample and randint:
-    # after every draw both generators must be at the same point
+    # the same set and the same bits as random.Random.sample: after every
+    # draw both generators must be at the same point
     ours, stdlib = random.Random(seed), random.Random(seed)
-    bits = ours.getrandbits
-    for m in range(300):
-        assert _below(bits, m + 1) == stdlib.randint(0, m), m
-        assert ours.getrandbits(32) == stdlib.getrandbits(32), m
     for n in range(1, 201):
+        sample = _sampler(ours.getrandbits, n)
         for k in range(min(n, 16) + 1):
-            assert _sample(bits, n, k) == frozenset(stdlib.sample(range(n), k)), (n, k)
+            assert set(sample(k)) == set(stdlib.sample(range(n), k)), (n, k)
             assert ours.getrandbits(32) == stdlib.getrandbits(32), (n, k)
 
 
 def test_sampler_sweep_covers_both_stdlib_branches():
     # random.Random.sample shuffles a pool for n up to this size, and
     # redraws repeats into a set above it
-    def pool_limit(k):
-        return 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
-
     for k in range(17):
-        assert 1 <= pool_limit(k) < 200, k
-    assert {pool_limit(k) for k in range(17)} == {21, 85}
+        assert _pool_limit(k) == (21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))), k
+        assert 1 <= _pool_limit(k) < 200, k
+    assert {_pool_limit(k) for k in range(17)} == {21, 85}
+
+
+def test_dihedral_sweep_reads_the_walked_verdicts(monkeypatch):
+    # a filed verdict replaces the build of its D:n and keeps the failure
+    # text; an unfiled D:n is built
+    builds = []
+    build = PowerGraph.__init__
+    monkeypatch.setattr(PowerGraph, "__init__", lambda graph, *a, **kw: builds.append(None) or build(graph, *a, **kw))
+    profile = verify.dihedral_plain_critical_profile
+    swept = {n: profile(n) for n in range(2, 61)}
+    swept[15] = not swept[15]
+    res = SuiteResult("criticality")
+    verify._check_dihedral_sweep(res, swept)
+    assert (res.checks, res.failures, builds) == (59, ["D:15: arithmetic profile disagrees with the class sweep"], [])
+    del swept[15]
+    res = SuiteResult("criticality")
+    verify._check_dihedral_sweep(res, swept)
+    assert (res.checks, res.failures, len(builds)) == (59, [], 1)
 
 
 def test_suite_check_counts_are_pinned():
@@ -152,8 +187,8 @@ def test_suite_check_counts_are_pinned():
 def test_family_walk_builds_one_graph_per_group(monkeypatch):
     # the closure, criticality and partitions suites share one graph per
     # family group, and each graph and its group are dropped before the
-    # next is built; the dihedral sweep D:2 .. D:60 builds its own the
-    # same way
+    # next is built; the dihedral sweep reads D:2 .. D:30 from the walk and
+    # builds D:31 .. D:60, which the family leaves out, the same way
     alive = []
     build = PowerGraph.__init__
 
@@ -167,14 +202,14 @@ def test_family_walk_builds_one_graph_per_group(monkeypatch):
     monkeypatch.undo()
     assert [res.name for res in results] == ["closure", "criticality", "partitions"]
     assert all(res.passed for res in results)
-    assert len(alive) == 2 * (len(builtin_family(60)) + 59)
+    assert len(alive) == 2 * (len(builtin_family(60)) + 30)
 
 
 def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
     # the walk files a verdict for each of the 76 census tuples to 120, so
     # the theorems suite builds graphs only for its 2 critical tuples,
-    # whose EPPO checks reuse them, on top of the family and the dihedral
-    # sweep
+    # whose EPPO checks reuse them, on top of the family; the dihedral
+    # sweep reads D:2 .. D:60 from the walk
     builds = []
     build = PowerGraph.__init__
 
@@ -187,4 +222,4 @@ def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
     monkeypatch.undo()
     assert all(res.passed for res in results)
     assert len(census(120, all_r=True)) == 76 and len(builtin_family(120)) == 266
-    assert len(builds) == 266 + 59 + 2 == 327
+    assert len(builds) == 266 + 2 == 268
