@@ -12,6 +12,7 @@ raised rather than repaired.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InternalConsistencyError
 from .groups import Group, generated_subgroup_words
@@ -28,6 +29,7 @@ __all__ = [
     "classify_group",
     "dihedral_plain_critical_profile",
     "noncyclic_overgroup_witnesses",
+    "nontrivial_records",
     "plain_critical_by_overgroups",
 ]
 
@@ -81,12 +83,12 @@ def classify_class(graph: PowerGraph, members) -> NClassRecord:
         own = graph.class_mask(members)
         kind = "plain" if own.bit_count() == 1 else "compound"
         # twins share one comparability mask, the common neighbourhood's nodes
-        hat = poset.meet(poset.comp[own.bit_length() - 1])
+        hat = poset.meet(poset.comp[poset.sub_of[rep]])
         if star and hat != own:
             raise InternalConsistencyError(
                 f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"
             )
-        closure_size = poset.size(hat)
+        closure_size = sum(len(poset.gens[s]) for s in poset.nodes(hat))
         closure_is_class_and_identity = hat == own | 1 << poset.sub_of[g.identity]
     else:
         # a twin class is a union of same-generator classes and holds rep's,
@@ -171,6 +173,15 @@ def class_records(graph: PowerGraph) -> list[NClassRecord]:
     return [graph.class_record(cid, classify_class) for cid in range(len(graph.twin_partition().classes))]
 
 
+def nontrivial_records(graph: PowerGraph) -> Iterator[NClassRecord]:
+    """The records of the twin classes other than {1}, in class order,
+    each computed on first request and kept by the graph."""
+    identity_only = frozenset({graph.group.identity})
+    for cid, members in enumerate(graph.twin_partition().classes):
+        if members != identity_only:
+            yield graph.class_record(cid, classify_class)
+
+
 def classify_group(graph: PowerGraph) -> GroupKind:
     """Fold element classification over the whole group.
 
@@ -178,15 +189,10 @@ def classify_group(graph: PowerGraph) -> GroupKind:
     element is.  Short-circuits as soon as all three flags are settled.
     A lazy graph is refused by its twin partition.
     """
-    g = graph.group
-    if g.order == 1:
+    if graph.group.order == 1:
         return GroupKind(False, False, False)
-    identity_only = frozenset({g.identity})
     crit = plain = compound = True
-    for cid, members in enumerate(graph.twin_partition().classes):
-        if members == identity_only:
-            continue
-        rec = graph.class_record(cid, classify_class)
+    for rec in nontrivial_records(graph):
         crit = crit and rec.is_critical
         plain = plain and rec.kind == "plain"
         compound = compound and rec.kind == "compound"
@@ -238,7 +244,7 @@ def noncyclic_overgroup_witnesses(graph: PowerGraph, x: int) -> tuple[int, int]:
     y = over[0]
     for _ in range(g.order):
         z = next(z for z in over if not graph.adjacent_or_equal(y, z))
-        sub = generated_subgroup_words(g, [g.word_of(y), g.word_of(z)], cap=graph.enhanced_cap)
+        sub = generated_subgroup_words(g, [g.word_of(y), g.word_of(z)])
         size = len(sub)
         gen_words = [w for w in sub if g.word_order(w) == size]
         if not gen_words:

@@ -50,6 +50,7 @@ from .numtheory import factorize, is_prime
 __all__ = [
     "CyclicPoset",
     "CyclicSubgroup",
+    "CyclicWord",
     "Group",
     "DirectProductGroup",
     "PermutationGroup",
@@ -80,6 +81,8 @@ DEFAULT_MAX_MATERIALIZE = 4096
 MAX_CENTRALIZER_WALK = 1 << 20
 # Largest p^a, q^b in bits: primality tests and modular powers stay fast.
 MAX_PRIME_POWER_BITS = 1024
+# Largest subgroup a multiplicative closure may reach before it is refused.
+MAX_GENERATED_SUBGROUP = 100_000
 
 
 def max_materialize() -> int:
@@ -184,13 +187,11 @@ class Group(ABC):
         return a
 
     def is_cyclic(self) -> bool:
-        """True iff some element generates the whole group: when
-        materialized, iff the largest maximal cyclic subgroup is the group;
-        otherwise one scan."""
-        poset = self._materialized_poset()
-        if poset is not None:
-            return len(poset.powers[poset.maxima[0]]) == self.order
-        return any(self.word_order(w) == self.order for _, w in self.scan())
+        """True iff some element generates the whole group, i.e. iff the
+        largest maximal cyclic subgroup is the group.  The permutation and
+        metacyclic backends, the only ones past the threshold, override it."""
+        poset = self.poset("cyclicity test")
+        return len(poset.powers[poset.maxima[0]]) == self.order
 
     # -- word API (backend-internal element encodings) ----------------------
 
@@ -832,35 +833,25 @@ class CyclicPoset:
             out |= 1 << sub_of[x]
         return out
 
+    def nodes(self, mask: int) -> Iterator[int]:
+        """The nodes of `mask`, lowest first."""
+        while mask:
+            bit = mask & -mask
+            yield bit.bit_length() - 1
+            mask ^= bit
+
     def meet(self, mask: int) -> int:
         """The nodes comparable with every node of `mask`, as a mask; all
         nodes for the empty mask.  On elements: the common neighbourhood
         of the union of the nodes' generator sets."""
         comp, out = self.comp, self.full
-        while mask:
-            bit = mask & -mask
-            out &= comp[bit.bit_length() - 1]
-            mask ^= bit
+        for s in self.nodes(mask):
+            out &= comp[s]
         return out
 
     def expand(self, mask: int) -> frozenset[int]:
         """The elements generating the nodes of `mask`."""
-        gens, out = self.gens, []
-        while mask:
-            bit = mask & -mask
-            out.extend(gens[bit.bit_length() - 1])
-            mask ^= bit
-        return frozenset(out)
-
-    def size(self, mask: int) -> int:
-        """The number of elements generating the nodes of `mask`: the sum of
-        phi(|s|) over its nodes s."""
-        gens, total = self.gens, 0
-        while mask:
-            bit = mask & -mask
-            total += len(gens[bit.bit_length() - 1])
-            mask ^= bit
-        return total
+        return frozenset(itertools.chain.from_iterable(map(self.gens.__getitem__, self.nodes(mask))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -877,6 +868,30 @@ def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
     mem = group.members(g)
     gens = group.cyclic_generators(g)
     return CyclicSubgroup(generator=min(gens), order=len(mem), members=mem)
+
+
+class CyclicWord:
+    """One fixed word w and its cyclic subgroup, for adjacency tests against w.
+
+    Power-graph adjacency only asks whether one cyclic subgroup contains
+    the other, so a word v of order ov is adjacent or equal to w iff it
+    lies among the powers of w, or its power lifted to order(w) generates
+    <w>.  Both tests short-circuit on order divisibility.
+    """
+
+    __slots__ = ("word", "order", "members", "gens")
+
+    def __init__(self, group: Group, w):
+        pw = group.word_powers(w)
+        self.word = w
+        self.order = len(pw)
+        self.members = frozenset(pw)
+        self.gens = _generators(pw)
+
+    def adjacent_or_equal(self, group: Group, v, ov: int) -> bool:
+        if ov <= self.order:
+            return self.order % ov == 0 and v in self.members
+        return ov % self.order == 0 and group.word_pow(v, ov // self.order) in self.gens
 
 
 def is_power_of(group: Group, g: int, h: int) -> bool:
@@ -907,18 +922,16 @@ def is_maximal_element(group: Group, x: int) -> bool:
 
     Read off the poset's maximality flags at or below the materialization
     threshold.  Otherwise one pass over C(x), which holds every cyclic
-    overgroup of x; each candidate is screened by order divisibility before
-    the membership lift.
+    overgroup of x: a strict overgroup is a word of larger order adjacent
+    to x.
     """
     poset = group._materialized_poset()
     if poset is not None:
         return poset.maximal[poset.sub_of[x]]
-    wx = group.word_of(x)
-    pw = group.word_powers(wx)
-    ox, gens = len(pw), _generators(pw)
-    for w in group.centralizer_words(wx):
+    fx = CyclicWord(group, group.word_of(x))
+    for w in group.centralizer_words(fx.word):
         ow = group.word_order(w)
-        if ow > ox and ow % ox == 0 and group.word_pow(w, ow // ox) in gens:
+        if ow > fx.order and fx.adjacent_or_equal(group, w, ow):
             return False
     return True
 
@@ -930,7 +943,7 @@ def _units(o: int) -> list[int]:
 
 def _generators(pw) -> frozenset:
     """The generators of a cyclic subgroup given as (1, g, g^2, ...)."""
-    return frozenset(pw[k] for k in _units(len(pw)))
+    return frozenset(map(pw.__getitem__, _units(len(pw))))
 
 
 def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:
@@ -945,12 +958,12 @@ def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:
     return pi, all(len(factorize(o)) <= 1 for o in orders)
 
 
-def generated_subgroup_words(group: Group, words: Iterable, cap: int = 100_000) -> frozenset:
+def generated_subgroup_words(group: Group, words: Iterable) -> frozenset:
     """Closure of the given words under multiplication, as a word set.
 
     In a finite group right-multiplication by the generators reaches the
     whole generated subgroup (inverses are positive powers).  Raises
-    ResourceLimitError past `cap` elements.
+    ResourceLimitError past MAX_GENERATED_SUBGROUP elements.
     """
     gens = [w for w in words]
     e = group.word_of(group.identity)
@@ -965,18 +978,17 @@ def generated_subgroup_words(group: Group, words: Iterable, cap: int = 100_000) 
                 if prod not in closed:
                     closed.add(prod)
                     nxt.append(prod)
-                    if len(closed) > cap:
+                    if len(closed) > MAX_GENERATED_SUBGROUP:
                         raise ResourceLimitError(
-                            f"subgroup closure exceeded {cap} elements in {group.descriptor}"
+                            f"subgroup closure exceeded {MAX_GENERATED_SUBGROUP} elements in {group.descriptor}"
                         )
         frontier = nxt
     return frozenset(closed)
 
 
-def generated_subgroup(group: Group, generators: Iterable[int], cap: int = 100_000) -> frozenset[int]:
+def generated_subgroup(group: Group, generators: Iterable[int]) -> frozenset[int]:
     """Closure of the given element indices under multiplication."""
-    words = [group.word_of(i) for i in generators]
-    sub = generated_subgroup_words(group, words, cap=cap)
+    sub = generated_subgroup_words(group, [group.word_of(i) for i in generators])
     return frozenset(group.index_of(w) for w in sub)
 
 

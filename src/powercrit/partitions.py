@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criticality import classify_class, classify_group
+from .criticality import classify_group, nontrivial_records
 from .groups import (
     CyclicSubgroup,
     Group,
@@ -92,7 +92,7 @@ def cyclic_partition(group: Group) -> PartitionResult:
     k = len(maxes)
     i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if downs[i] & downs[j])
     shared = downs[i] & downs[j]
-    return PartitionResult(None, (maxes[i], maxes[j], poset.least[(shared & -shared).bit_length() - 1]))
+    return PartitionResult(None, (maxes[i], maxes[j], poset.least[next(poset.nodes(shared))]))
 
 
 def hughes_thompson(group: Group, p: int, within=None) -> frozenset[int]:
@@ -179,10 +179,7 @@ def check_partition_implies_compound_critical(group: Group, graph: PowerGraph | 
     kind = classify_group(graph)
     if kind.is_critical_group and kind.is_compound_group:
         return Verdict(True, True, "compound critical as required")
-    for cid, members in enumerate(graph.twin_partition().classes):
-        if members == frozenset({group.identity}):
-            continue
-        rec = graph.class_record(cid, classify_class)
+    for rec in nontrivial_records(graph):
         if not rec.is_critical or rec.kind != "compound":
             return Verdict(
                 True,
@@ -199,10 +196,7 @@ def check_plain_critical_maximal(group: Group, graph: PowerGraph | None = None) 
     if not part.is_partition:
         return Verdict(False, None, _obstruction_text(group, part))
     graph = _graph(group, graph)
-    for cid, members in enumerate(graph.twin_partition().classes):
-        if members == frozenset({group.identity}):
-            continue
-        rec = graph.class_record(cid, classify_class)
+    for rec in nontrivial_records(graph):
         if rec.kind == "plain" and rec.is_critical:
             # all members of a plain class generate the same cyclic
             # subgroup, so the representative settles maximality

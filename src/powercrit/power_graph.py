@@ -13,10 +13,11 @@ Two operating modes:
   the first (``closure_of_meet``).  Element sets are expanded only where
   returned; the diamond partition is the nodes.
 * lazy (any order): per-element queries answered on backend words.
-  Adjacency against a fixed element x short-circuits on order
-  divisibility and then costs one set lookup: either the other element
-  lies among the powers of x, or its power lifted to order(x) must be a
-  generator of x's cyclic subgroup.  The word list of N[x] is kept with
+  Adjacency against a fixed element x is the one lazy kernel,
+  :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
+  divisibility and then costs one set lookup, either the other element
+  among the powers of x or its power lifted to order(x) among the
+  generators of x's cyclic subgroup.  The word list of N[x] is kept with
   the graph, filed under every twin of x once the twin class is known,
   so the closure of a twin class reads its common neighbourhood N[x]
   from the memo instead of filtering or decoding it again.
@@ -31,12 +32,11 @@ one pass over the group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ScaleError
-from .groups import CyclicPoset, Group, generated_subgroup_words, max_materialize
+from .groups import CyclicPoset, CyclicWord, Group, generated_subgroup_words, max_materialize
 from .numtheory import as_prime_power
 
 __all__ = [
@@ -49,28 +49,6 @@ __all__ = [
 
 # entries kept per graph in each of its memos (fixed elements, closures, N[x])
 _CACHE_CAP = 4096
-
-
-class _Fixed:
-    """Precomputed data for adjacency tests against one fixed element."""
-
-    __slots__ = ("word", "order", "members", "gens")
-
-    def __init__(self, group: Group, w):
-        pw = group.word_powers(w)
-        o = len(pw)
-        self.word = w
-        self.order = o
-        self.members = frozenset(pw)
-        if o == 1:
-            self.gens = self.members
-        else:
-            self.gens = frozenset(pw[k] for k in range(o) if math.gcd(k, o) == 1)
-
-    def adjacent_or_equal(self, group: Group, w, ow: int) -> bool:
-        if ow <= self.order:
-            return self.order % ow == 0 and w in self.members
-        return ow % self.order == 0 and group.word_pow(w, ow // self.order) in self.gens
 
 
 @dataclass(frozen=True)
@@ -91,20 +69,14 @@ class PowerGraph:
     The mode is the group's ``materialized`` unless `materialize` forces one.
     """
 
-    def __init__(
-        self,
-        group: Group,
-        materialize: bool | None = None,
-        enhanced_cap: int = 100_000,
-    ):
+    def __init__(self, group: Group, materialize: bool | None = None):
         self.group = group
-        self.enhanced_cap = enhanced_cap
         self.materialized = group.materialized if materialize is None else bool(materialize)
         self._poset: CyclicPoset | None = None
         self._erows: list[int] | None = None
         self._twin: TwinPartition | None = None
         self._diamond: TwinPartition | None = None
-        self._fixed_cache: dict[int, _Fixed] = {}
+        self._fixed_cache: dict[int, CyclicWord] = {}
         self._class_records: dict[int, object] = {}
         self._class_masks: list[int] = []
         self._closures: dict[int, int] = {}
@@ -127,10 +99,10 @@ class PowerGraph:
             )
         return self._poset
 
-    def _fixed(self, x: int) -> _Fixed:
+    def _fixed(self, x: int) -> CyclicWord:
         fx = self._fixed_cache.get(x)
         if fx is None:
-            fx = _Fixed(self.group, self.group.word_of(x))
+            fx = CyclicWord(self.group, self.group.word_of(x))
             if len(self._fixed_cache) < _CACHE_CAP:
                 self._fixed_cache[x] = fx
         return fx
@@ -239,21 +211,21 @@ class PowerGraph:
                 self._closures[m] = hat
         return hat
 
-    def _subgroup_reps(self, words) -> list[_Fixed]:
+    def _subgroup_reps(self, words) -> list[CyclicWord]:
         """One fixed element per cyclic subgroup the words generate, the
         largest subgroups first."""
         g = self.group
-        reps: list[_Fixed] = []
+        reps: list[CyclicWord] = []
         covered: set = set()
         for w in words:
             if w not in covered:
-                f = _Fixed(g, w)
+                f = CyclicWord(g, w)
                 covered |= f.gens
                 reps.append(f)
         reps.sort(key=lambda f: -f.order)
         return reps
 
-    def _common(self, reps: list[_Fixed], words) -> list:
+    def _common(self, reps: list[CyclicWord], words) -> list:
         """The words adjacent or equal to every fixed element in `reps`."""
         g = self.group
         out = []
@@ -280,7 +252,7 @@ class PowerGraph:
                 continue
             ok = verdicts.get(w)
             if ok is None:
-                f = _Fixed(g, w)
+                f = CyclicWord(g, w)
                 ok = all(f.adjacent_or_equal(g, v, ov) for v, ov in zip(words, orders))
                 verdicts.update(dict.fromkeys(f.gens, ok))
             if ok:
@@ -378,7 +350,7 @@ class PowerGraph:
             twins.add(g.word_of(g.identity))
         pp = as_prime_power(fx.order)
         if pp is not None:
-            below = [_Fixed(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
+            below = [CyclicWord(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
             above = [
                 w
                 for w in nb
@@ -405,15 +377,8 @@ class PowerGraph:
         OR of the generator bitmasks of the nodes comparable with it."""
         poset = self._require_materialized("power-graph rows")
         gen_bits = [sum(1 << x for x in gens) for gens in poset.gens]
-        rows = []
-        for c in poset.comp:
-            row = 0
-            while c:
-                bit = c & -c
-                row |= gen_bits[bit.bit_length() - 1]
-                c ^= bit
-            rows.append(row)
-        return rows
+        # generator sets of distinct nodes are disjoint, so the sum is the OR
+        return [sum(map(gen_bits.__getitem__, poset.nodes(c))) for c in poset.comp]
 
     # -- enhanced power graph ----------------------------------------------------
 
@@ -424,7 +389,7 @@ class PowerGraph:
         if self.adjacent_or_equal(x, y):
             return True  # power-graph edges are always enhanced edges
         g = self.group
-        sub = generated_subgroup_words(g, [g.word_of(x), g.word_of(y)], cap=self.enhanced_cap)
+        sub = generated_subgroup_words(g, [g.word_of(x), g.word_of(y)])
         size = len(sub)
         return any(g.word_order(w) == size for w in sub)
 

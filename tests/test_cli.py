@@ -396,6 +396,16 @@ GOLDEN = {
     ("analyze", "M:17,2,2,2,38", "--json", "--stable"): (
         "c104ccf9653e451e1649de18e3e17cb6df0d480ca98687776a77e167a7c2ed2d"
     ),
+    # lazy element queries above the threshold
+    ("analyze", "S:9", "--element", "(1 2)", "--json", "--stable"): (
+        "927ee1e58d42e1551d6ef38c5a51b2727720f1c52b1c8b9999bfe80ca0516dec"
+    ),
+    ("analyze", "S:11", "--element", "(1 2 3)(4 5 6 7 8)", "--json", "--stable"): (
+        "b8207215906f50adfc218c6444f7d81f01faa1d1fbf30a62549df9de35bdfb37"
+    ),
+    ("analyze", "M:17,2,2,4,38", "--element", "(1,0)", "--json", "--stable"): (
+        "eb28f3e4d7977382e5573aca711d4f48bb1feb2e8746c85ff94b254388b8cc80"
+    ),
     # census listings, recorded while the enumeration still tried every prime q
     ("census", "--max-order", "1200", "--verify-up-to", "1200", "--all-r", "--json"): (
         "fa0214f06770455f7dfb092a5e916b1b5f547c47bb913e0da49b2b4ae849f6c8"

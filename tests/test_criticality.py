@@ -137,6 +137,17 @@ def test_classify_group_flags():
     assert not (trivial.is_critical_group or trivial.is_plain_group or trivial.is_compound_group)
 
 
+def test_nontrivial_records_skip_only_the_identity_class():
+    from powercrit.criticality import nontrivial_records
+
+    for group in (make_cyclic(1), make_cyclic(12), D30, make_generalized_quaternion(4), S4, M100):
+        graph = PowerGraph(group)
+        classes = graph.twin_partition().classes
+        records = nontrivial_records(graph)
+        assert iter(records) is records  # a generator, so classify_group can stop early
+        assert list(records) == [r for r, c in zip(class_records(graph), classes) if c != {group.identity}]
+
+
 def test_classify_group_unsupported_lazy():
     with pytest.raises(ScaleError):
         classify_group(PowerGraph(make_symmetric(8)))

@@ -41,8 +41,11 @@ def assert_node_graph_matches_rows(g, rng: random.Random, subsets: int) -> None:
     assert all(x in twin.classes[twin.class_of[x]] for x in range(g.order))
     assert graph.star_vertices() == frozenset(x for x, row in enumerate(rows) if row == full)
     assert [as_mask(graph.closed_neighborhood(x)) for x in range(g.order)] == rows
+    poset = g.cyclic_poset()
+    for m in poset.comp:
+        assert list(poset.nodes(m)) == [s for s in range(len(poset.comp)) if m >> s & 1]
     node_rows = graph.node_rows()
-    assert [node_rows[s] for s in g.cyclic_poset().sub_of] == rows
+    assert [node_rows[s] for s in poset.sub_of] == rows
     assert power_graph._rows(graph, "power") == rows
     samples = [frozenset()] + [
         frozenset(rng.sample(range(g.order), rng.randint(1, min(g.order, 5)))) for _ in range(subsets)

@@ -329,12 +329,13 @@ def test_enhanced_adjacent():
         pg.enhanced_adjacent(a, a)
 
 
-def test_enhanced_adjacent_resource_cap():
-    from powercrit import ResourceLimitError
+def test_enhanced_adjacent_resource_cap(monkeypatch):
+    from powercrit import ResourceLimitError, groups
 
-    pg = PowerGraph(S4, enhanced_cap=5)
+    monkeypatch.setattr(groups, "MAX_GENERATED_SUBGROUP", 5)
+    pg = PowerGraph(S4)
     a, b = S4.parse_element("(1 2)"), S4.parse_element("(1 2 3 4)")
-    with pytest.raises(ResourceLimitError, match="closure exceeded"):
+    with pytest.raises(ResourceLimitError, match="closure exceeded 5 elements"):
         pg.enhanced_adjacent(a, b)
 
 
