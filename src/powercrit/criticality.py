@@ -63,27 +63,29 @@ class GroupKind:
 
 
 def classify_class(graph: PowerGraph, members) -> NClassRecord:
-    """Type one twin class and decide whether it is critical.
+    """Type the twin class `members` and decide whether it is critical;
+    materialized, the class is checked and its kept record returned."""
+    if graph.materialized:
+        return graph.class_record(graph.class_id(members), _class_record)
+    return _class_record(graph, members)
 
-    `members` must be a closed-twin class of the graph's group (checked
-    against the twin partition in materialized mode).  Materialized, the
-    class is a union of generator sets of cyclic subgroups, the poset's
-    nodes: it is plain iff it has one node, and its closure is read off
-    the node masks without expanding them to elements.
+
+def _class_record(graph: PowerGraph, cls) -> NClassRecord:
+    """The record of a twin class, given by its id when materialized and by
+    its members when lazy.  Materialized, it is read off the class's node
+    mask, and only a non-star compound class is expanded, for its parameters.
     """
     g = graph.group
-    members = frozenset(members)
-    if not members:
-        raise ValueError("a twin class is never empty")
-    rep = min(members)
-    star = g.identity in members
-
     if graph.materialized:
         poset = g.cyclic_poset()
-        own = graph.class_mask(members)
-        kind = "plain" if own.bit_count() == 1 else "compound"
+        own = graph.twin_partition().masks[cls]
+        # node ids follow least generators: the lowest node's is the least member
+        low = (own & -own).bit_length() - 1
+        rep, star = poset.least[low], low == poset.sub_of[g.identity]
+        size = sum(len(poset.gens[s]) for s in poset.nodes(own))
+        kind = "plain" if own == 1 << low else "compound"
         # twins share one comparability mask, the common neighbourhood's nodes
-        hat = poset.meet(poset.comp[poset.sub_of[rep]])
+        hat = poset.meet(poset.comp[low])
         if star and hat != own:
             raise InternalConsistencyError(
                 f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"
@@ -91,6 +93,10 @@ def classify_class(graph: PowerGraph, members) -> NClassRecord:
         closure_size = sum(len(poset.gens[s]) for s in poset.nodes(hat))
         closure_is_class_and_identity = hat == own | 1 << poset.sub_of[g.identity]
     else:
+        members = frozenset(cls)
+        if not members:
+            raise ValueError("a twin class is never empty")
+        rep, star, size = min(members), g.identity in members, len(members)
         # a twin class is a union of same-generator classes and holds rep's,
         # so it spans one cyclic subgroup iff every member generates <rep>
         kind = "plain" if members <= g.cyclic_generators(rep) else "compound"
@@ -110,7 +116,9 @@ def classify_class(graph: PowerGraph, members) -> NClassRecord:
 
     params = None
     if kind == "compound" and not star:
-        params = _compound_params(g, members, rep)
+        if graph.materialized:
+            members = poset.expand(own)
+        params = _compound_params(g, members)
         if is_critical != (params.s == 0):
             raise InternalConsistencyError(
                 f"compound class of {g.element_label(rep)}: closure test gives "
@@ -119,7 +127,7 @@ def classify_class(graph: PowerGraph, members) -> NClassRecord:
 
     return NClassRecord(
         representative=rep,
-        size=len(members),
+        size=size,
         kind=kind,
         params=params,
         is_critical=is_critical,
@@ -128,7 +136,7 @@ def classify_class(graph: PowerGraph, members) -> NClassRecord:
     )
 
 
-def _compound_params(g: Group, members: frozenset[int], rep: int) -> CompoundParams:
+def _compound_params(g: Group, members: frozenset[int]) -> CompoundParams:
     orders = {m: g.element_order(m) for m in members}
     max_order = max(orders.values())
     root = min(m for m, o in orders.items() if o == max_order)
@@ -170,16 +178,15 @@ def classify_element(graph: PowerGraph, x: int) -> NClassRecord:
 
 def class_records(graph: PowerGraph) -> list[NClassRecord]:
     """All twin-class records, in deterministic class order (kept by the graph)."""
-    return [graph.class_record(cid, classify_class) for cid in range(len(graph.twin_partition().classes))]
+    return [graph.class_record(cid, _class_record) for cid in range(len(graph.twin_partition().masks))]
 
 
 def nontrivial_records(graph: PowerGraph) -> Iterator[NClassRecord]:
     """The records of the twin classes other than {1}, in class order,
     each computed on first request and kept by the graph."""
-    identity_only = frozenset({graph.group.identity})
-    for cid, members in enumerate(graph.twin_partition().classes):
-        if members != identity_only:
-            yield graph.class_record(cid, classify_class)
+    for cid, own in enumerate(graph.twin_partition().masks):
+        if own != 1:  # node 0 is {1}
+            yield graph.class_record(cid, _class_record)
 
 
 def classify_group(graph: PowerGraph) -> GroupKind:

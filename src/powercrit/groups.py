@@ -171,7 +171,7 @@ class Group(ABC):
         """All elements generating the same cyclic subgroup as a."""
         poset = self._materialized_poset()
         if poset is not None:
-            return poset.generators(poset.sub_of[a])
+            return frozenset(poset.gens[poset.sub_of[a]])
         return _generators(self.powers(a))
 
     def element_label(self, a: int) -> str:
@@ -613,9 +613,6 @@ class MetacyclicGroup(Group):
         """Generator of the acting cyclic factor: the pair (0, 1)."""
         return 1
 
-    def pair_of(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.qb)
-
     def index_of_pair(self, i: int, j: int) -> int:
         return (i % self.pa) * self.qb + (j % self.qb)
 
@@ -800,19 +797,12 @@ class CyclicPoset:
             key=lambda s: (-len(powers[s]), least[s]),
         )
         self._members: list[frozenset[int] | None] = [None] * len(powers)
-        self._generators: list[frozenset[int] | None] = [None] * len(powers)
         self._maximal_subgroups: tuple[CyclicSubgroup, ...] | None = None
 
     def members(self, s: int) -> frozenset[int]:
         got = self._members[s]
         if got is None:
             got = self._members[s] = frozenset(self.powers[s])
-        return got
-
-    def generators(self, s: int) -> frozenset[int]:
-        got = self._generators[s]
-        if got is None:
-            got = self._generators[s] = frozenset(self.gens[s])
         return got
 
     def maximal_subgroups(self) -> tuple[CyclicSubgroup, ...]:

@@ -10,8 +10,9 @@ Two operating modes:
   the subgroups with equal masks, star vertices generate the subgroups
   whose mask is full, and the one closure kernel, ``closure_mask``, takes
   N[N[X]] as two meets over node masks, the second memoized per result of
-  the first (``closure_of_meet``).  Element sets are expanded only where
-  returned; the diamond partition is the nodes.
+  the first (``closure_of_meet``).  A partition is one node mask per
+  class (a diamond class is one node), and its element sets are expanded
+  on first read; class records never read them.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x is the one lazy kernel,
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
@@ -32,6 +33,7 @@ one pass over the group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,10 +55,16 @@ _CACHE_CAP = 4096
 
 @dataclass(frozen=True)
 class TwinPartition:
-    """A partition of the group into classes plus the element -> class map."""
+    """A partition of the group into unions of poset nodes: one node mask per
+    class, the element -> class map, and the classes' elements on first read."""
 
-    classes: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     class_of: tuple[int, ...]
+    poset: CyclicPoset
+
+    @functools.cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(self.poset.expand, self.masks))
 
     def class_containing(self, x: int) -> frozenset[int]:
         return self.classes[self.class_of[x]]
@@ -78,7 +86,6 @@ class PowerGraph:
         self._diamond: TwinPartition | None = None
         self._fixed_cache: dict[int, CyclicWord] = {}
         self._class_records: dict[int, object] = {}
-        self._class_masks: list[int] = []
         self._closures: dict[int, int] = {}
         self._neighborhoods: dict[int, list] = {}
         if self.materialized:
@@ -289,40 +296,36 @@ class PowerGraph:
     # -- twin partitions -----------------------------------------------------------
 
     def twin_partition(self) -> TwinPartition:
-        """Partition of the group into closed-twin classes (equal N[x])."""
+        """Partition into closed-twin classes (equal N[x]): nodes with equal masks."""
         if self._twin is None:
             poset = self._require_materialized("twin partition")
             # nodes are walked in id order, i.e. by least generator, so the
             # classes come out ordered by least member
             cids: dict[int, int] = {}
             cid_of_node = [cids.setdefault(c, len(cids)) for c in poset.comp]
-            members: list[list[int]] = [[] for _ in cids]
-            self._class_masks = [0] * len(cids)
+            masks = [0] * len(cids)
             for s, cid in enumerate(cid_of_node):
-                members[cid].extend(poset.gens[s])
-                self._class_masks[cid] |= 1 << s
-            self._twin = TwinPartition(
-                classes=tuple(map(frozenset, members)),
-                class_of=tuple(map(cid_of_node.__getitem__, poset.sub_of)),
-            )
+                masks[cid] |= 1 << s
+            class_of = tuple(map(cid_of_node.__getitem__, poset.sub_of))
+            self._twin = TwinPartition(tuple(masks), class_of, poset)
         return self._twin
 
-    def class_mask(self, members) -> int:
-        """The node mask of the twin class `members`; ValueError if
-        `members` is not a closed-twin class (materialized mode)."""
+    def class_id(self, members) -> int:
+        """The id of the twin class `members`; ValueError if `members` is
+        not a closed-twin class (materialized mode)."""
         twin = self.twin_partition()
-        cid = twin.class_of[min(members)]
-        if twin.classes[cid] != members:
+        members = frozenset(members)
+        x = min(members, default=-1)
+        if not 0 <= x < self.group.order or twin.class_containing(x) != members:
             raise ValueError(f"{sorted(members)} is not a closed-twin class of {self.group.descriptor}")
-        return self._class_masks[cid]
+        return twin.class_of[x]
 
     def diamond_partition(self) -> TwinPartition:
-        """Partition into classes generating the same cyclic subgroup."""
+        """Partition into classes generating the same cyclic subgroup: the nodes."""
         if self._diamond is None:
             poset = self._require_materialized("diamond partition")
-            # subgroup ids follow the least generator, as class order must
-            classes = tuple(poset.generators(s) for s in range(len(poset.powers)))
-            self._diamond = TwinPartition(classes=classes, class_of=tuple(poset.sub_of))
+            nodes = tuple(1 << s for s in range(len(poset.gens)))
+            self._diamond = TwinPartition(nodes, tuple(poset.sub_of), poset)
         return self._diamond
 
     def element_n_class(self, x: int) -> frozenset[int]:
@@ -413,12 +416,11 @@ class PowerGraph:
     # -- derived queries -----------------------------------------------------------
 
     def class_record(self, cid: int, classify):
-        """The record of twin class `cid`, computed by `classify(graph, members)`
+        """The record of twin class `cid`, computed by `classify(graph, cid)`
         on first request and kept with the graph."""
         rec = self._class_records.get(cid)
         if rec is None:
-            members = self.twin_partition().classes[cid]
-            rec = self._class_records[cid] = classify(self, members)
+            rec = self._class_records[cid] = classify(self, cid)
         return rec
 
     def strict_overgroups(self, x: int) -> frozenset[int]:

@@ -500,7 +500,7 @@ def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None
         )
         _, is_eppo = exponent_and_pi(group)
         res.check(is_eppo, f"{tag}: critical group contains a non-prime-power order")
-        sizes = sorted(len(c) for c in graph.twin_partition().classes)
+        sizes = sorted(rec.size for rec in class_records(graph))
         pa, qb = m.p**m.a, m.q**m.b
         expected = sorted([1, pa - 1] + [qb - 1] * pa)
         res.check(

@@ -101,27 +101,40 @@ def brute_twin_classes(rows: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(v) for v in buckets.values())
 
 
-def _is_prime_power_ge2(n: int) -> bool:
-    """n = p^r with r >= 2, by trial division."""
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, r) with n = p^r and r >= 1, by trial division; None otherwise."""
     p = next((d for d in range(2, n + 1) if n % d == 0), None)
     if p is None:
-        return False
+        return None
     r = 0
     while n % p == 0:
         n, r = n // p, r + 1
-    return n == 1 and r >= 2
+    return (p, r) if n == 1 else None
 
 
 def brute_class_record(group: Group, rows: list[int], members) -> tuple:
-    """(size, kind, is_critical, closure_size, is_star_class) of a twin
-    class straight from the definitions, on brute-force rows."""
+    """The fields of a twin class's NClassRecord, as ``dataclasses.astuple``
+    gives them, straight from the definitions on brute-force rows.
+
+    A compound class other than the star class gets its parameters from
+    its member orders: the root is the least member of largest order p^r,
+    and the least member order is p^(s+1).
+    """
     hat = brute_row_closure(rows, members)
     star = group.identity in members
     own = sum(1 << x for x in members)
     plain = len({frozenset(brute_powers(group, x)) for x in members}) == 1
     size = bin(hat).count("1")
-    critical = not star and hat == own | 1 << group.identity and _is_prime_power_ge2(size)
-    return (len(members), "plain" if plain else "compound", critical, size, star)
+    pp = _prime_power(size)
+    critical = not star and hat == own | 1 << group.identity and pp is not None and pp[1] >= 2
+    params = None
+    if not plain and not star:
+        orders = {x: len(brute_powers(group, x)) for x in members}
+        top = max(orders.values())
+        p, r = _prime_power(top)
+        root = min(x for x, o in orders.items() if o == top)
+        params = (p, r, _prime_power(min(orders.values()))[1] - 1, root)
+    return (min(members), len(members), "plain" if plain else "compound", params, critical, size, star)
 
 
 def brute_try_structure(group: Group, p: int, a: int, q: int, b: int):

@@ -1,6 +1,7 @@
 import pytest
 
 from powercrit import (
+    CyclicPoset,
     PowerGraph,
     ScaleError,
     class_records,
@@ -16,6 +17,7 @@ from powercrit import (
     make_metacyclic,
     make_symmetric,
     noncyclic_overgroup_witnesses,
+    parse_group_spec,
     plain_critical_by_overgroups,
 )
 
@@ -95,8 +97,26 @@ def test_q16_compound_class_with_nonzero_s():
 
 def test_classify_class_rejects_non_class():
     graph = PowerGraph(S4)
-    with pytest.raises(ValueError, match="not a closed-twin class"):
-        classify_class(graph, frozenset({0, 5}))
+    for members in (frozenset({0, 5}), frozenset({100}), frozenset({-1}), frozenset()):
+        with pytest.raises(ValueError, match="not a closed-twin class"):
+            classify_class(graph, members)
+
+
+@pytest.mark.parametrize("spec,compounds", [("D:2000", 0), ("M:5,2,2,2,7", 26), ("Q:4", 1)])
+def test_record_loop_expands_only_non_star_compound_classes(spec, compounds, monkeypatch):
+    """Records are read off node masks: the only element set built is a
+    non-star compound class's own, once, to check its parameters."""
+    expanded = []
+    expand = CyclicPoset.expand
+    monkeypatch.setattr(CyclicPoset, "expand", lambda poset, mask: expanded.append(mask) or expand(poset, mask))
+    graph = PowerGraph(parse_group_spec(spec))
+    classify_group(graph)
+    records = class_records(graph)
+    twin = graph.twin_partition()
+    compound = [own for own, r in zip(twin.masks, records) if r.kind == "compound" and not r.is_star_class]
+    assert len(compound) == compounds
+    assert sorted(expanded) == sorted(compound)
+    assert "classes" not in vars(twin)  # expanded only on first read
 
 
 def test_lazy_classify_matches_materialized():
