@@ -85,7 +85,7 @@ def _class_record(graph: PowerGraph, cls) -> NClassRecord:
         size = sum(len(poset.gens[s]) for s in poset.nodes(own))
         kind = "plain" if own == 1 << low else "compound"
         # twins share one comparability mask, the common neighbourhood's nodes
-        hat = poset.meet(poset.comp[low])
+        hat = graph.closure_of_meet(poset.comp[low])
         if star and hat != own:
             raise InternalConsistencyError(
                 f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"

@@ -158,7 +158,7 @@ class Group(ABC):
 
     def powers(self, a: int) -> tuple[int, ...]:
         """(1, a, a^2, ...): the cyclic subgroup generated by a, walked in power order."""
-        return tuple(self.index_powers(a))
+        return tuple(self.word_powers(a))
 
     def members(self, a: int) -> frozenset[int]:
         """The cyclic subgroup generated by a, as a set of indices."""
@@ -226,10 +226,6 @@ class Group(ABC):
             if k:
                 base = self.word_mul(base, base)
         return result
-
-    def index_powers(self, a: int) -> list[int]:
-        """(1, a, a^2, ...) as indices, from :meth:`word_powers` on every call."""
-        return self.word_powers(a)
 
     def word_powers(self, w) -> list:
         """Like :meth:`powers` but on words, walked on every call.  Above the
@@ -461,8 +457,8 @@ class PermutationGroup(Group):
     def inv(self, a: int) -> int:
         return self.index_of(self.word_inv(self.word_of(a)))
 
-    def index_powers(self, a: int) -> list[int]:
-        return [self.index_of(w) for w in self.word_powers(self.word_of(a))]
+    def powers(self, a: int) -> tuple[int, ...]:
+        return tuple(map(self.index_of, self.word_powers(self.word_of(a))))
 
     def is_cyclic(self) -> bool:
         return self.degree <= 2
@@ -602,16 +598,6 @@ class MetacyclicGroup(Group):
         # conjugation acts as y^-1 x y = x^r, so commuting y^j past x^i
         # twists by r^(-j) = r^(k - j)
         self._act = [self._rpow[-j % k] for j in range(k)]
-
-    @property
-    def x(self) -> int:
-        """Generator of the normal cyclic factor: the pair (1, 0)."""
-        return self.qb
-
-    @property
-    def y(self) -> int:
-        """Generator of the acting cyclic factor: the pair (0, 1)."""
-        return 1
 
     def index_of_pair(self, i: int, j: int) -> int:
         return (i % self.pa) * self.qb + (j % self.qb)
@@ -765,7 +751,7 @@ class CyclicPoset:
         for x in range(n):
             if sub_of[x] >= 0:
                 continue
-            pw = tuple(group.index_powers(x))
+            pw = group.powers(x)
             units = units_of.get(len(pw))
             if units is None:
                 units = units_of[len(pw)] = _units(len(pw))

@@ -10,9 +10,9 @@ Two operating modes:
   the subgroups with equal masks, star vertices generate the subgroups
   whose mask is full, and the one closure kernel, ``closure_mask``, takes
   N[N[X]] as two meets over node masks, the second memoized per result of
-  the first (``closure_of_meet``).  A partition is one node mask per
-  class (a diamond class is one node), and its element sets are expanded
-  on first read; class records never read them.
+  the first (``closure_of_meet``); a common neighbourhood is the first
+  meet alone (``CyclicPoset.meet``).  A partition is one node mask per
+  class; an element query expands its own class, DOT export all classes.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x is the one lazy kernel,
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
@@ -29,6 +29,9 @@ over :meth:`~powercrit.groups.Group.centralizer_words` rather than the
 whole group: in S_11, C((1 2 3)(4 5 6 7 8)) has 90 elements out of
 39,916,800.  A backend without a centralizer enumeration falls back on
 one pass over the group.
+
+``PowerGraph`` keeps what cli, report, criticality, partitions and verify
+call, plus ``enhanced_adjacent``, the oracle of ``enhanced_rows``: no stable API.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class TwinPartition:
         return tuple(map(self.poset.expand, self.masks))
 
     def class_containing(self, x: int) -> frozenset[int]:
-        return self.classes[self.class_of[x]]
+        return self.poset.expand(self.masks[self.class_of[x]])
 
 
 class PowerGraph:
@@ -90,10 +93,6 @@ class PowerGraph:
         self._neighborhoods: dict[int, list] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
-
-    @property
-    def mode(self) -> str:
-        return "materialized" if self.materialized else "lazy"
 
     # -- construction -------------------------------------------------------
 
@@ -135,10 +134,6 @@ class PowerGraph:
         wy = g.word_of(y)
         return fx.adjacent_or_equal(g, wy, g.word_order(wy))
 
-    def adjacent(self, x: int, y: int) -> bool:
-        """Power-graph adjacency; defined on distinct elements."""
-        return x != y and self.adjacent_or_equal(x, y)
-
     # -- neighbourhoods and closure ---------------------------------------------
 
     def closed_neighborhood(self, x: int) -> frozenset[int]:
@@ -149,24 +144,6 @@ class PowerGraph:
             return poset.expand(poset.comp[poset.sub_of[x]])
         return frozenset(map(self.group.index_of, self._neighborhood_words(x)))
 
-    def common_neighborhood(self, xs) -> frozenset[int]:
-        """Intersection of closed neighbourhoods; the whole group for empty input.
-
-        Lazily, one pass over C(x0) for the x0 in xs of largest order.
-        """
-        poset = self._poset
-        if poset is not None:
-            return poset.expand(poset.meet(poset.mask_of(xs)))
-        xs = frozenset(xs)
-        if not xs:
-            raise ScaleError(
-                "common neighbourhood of the empty set is the whole group; "
-                "not representable in lazy mode"
-            )
-        g = self.group
-        reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
-        return frozenset(map(g.index_of, self._common(reps, g.centralizer_words(reps[0].word))))
-
     def closure(self, xs) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
 
@@ -176,17 +153,18 @@ class PowerGraph:
         x0 in xs, and inputs that share one kept N[x0] (twins) have it as
         their common neighbourhood; otherwise the closure lies in N[z0]
         for any z0 in the common neighbourhood, and one pass over C(z0)
-        finds it.
+        finds it.  N[1] = G, so the identity is dropped first: anchored on
+        it, the pass would run over the whole group.
 
         Materialized, it is :meth:`closure_mask` of xs's nodes, expanded.
         """
         poset = self._poset
         if poset is not None:
             return poset.expand(self.closure_mask(poset.mask_of(xs)))
-        xs = frozenset(xs)
+        g = self.group
+        xs = frozenset(xs) - {g.identity}
         if not xs:
             return self.star_vertices()
-        g = self.group
         reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
         pairwise = all(
             a.adjacent_or_equal(g, b.word, b.order) for i, a in enumerate(reps) for b in reps[i + 1 :]

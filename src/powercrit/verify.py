@@ -253,16 +253,17 @@ def _check_criticality(res: SuiteResult, graph: PowerGraph) -> None:
                 and euler_phi(o) == rec.closure_size - 1,
                 f"{group.descriptor}: plain critical class of {label} violates its size profile",
             )
-    # the generator partition refines the twin partition, with totient sizes
-    for dclass in graph.diamond_partition().classes:
-        rep = min(dclass)
+    # the generator partition (one class per node) refines the twin
+    # partition, with totient sizes
+    poset = twin.poset
+    for s, rep in enumerate(poset.least):
         res.check(
-            dclass <= twin.class_containing(rep),
+            bool((twin.masks[twin.class_of[rep]] >> s) & 1),
             f"{group.descriptor}: diamond class of {group.element_label(rep)} "
             "crosses twin classes",
         )
         res.check(
-            len(dclass) == euler_phi(group.element_order(rep)),
+            len(poset.gens[s]) == euler_phi(len(poset.powers[s])),
             f"{group.descriptor}: diamond class of {group.element_label(rep)} "
             "has the wrong size",
         )
@@ -281,9 +282,8 @@ def _check_criticality(res: SuiteResult, graph: PowerGraph) -> None:
     if group.order <= CLOSURE_ORDER_CAP:
         # every element's enhanced row must hold its power-graph row N[x]
         erows, rows = graph.enhanced_rows(), graph.node_rows()
-        sub_of = group.cyclic_poset().sub_of
         res.check(
-            all(erow & rows[s] == rows[s] for erow, s in zip(erows, sub_of)),
+            all(erow & rows[s] == rows[s] for erow, s in zip(erows, poset.sub_of)),
             f"{group.descriptor}: power-graph edge missing from the enhanced graph",
         )
 

@@ -83,11 +83,11 @@ def test_lazy_classify_matches_materialized_at_order_6250(monkeypatch):
     spec = (5, 5, 2, 1, 3124)
     lazy_group = make_metacyclic(*spec)
     lazy = PowerGraph(lazy_group)
-    assert lazy.mode == "lazy"
+    assert not lazy.materialized
     monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "6250")
     mat_group = make_metacyclic(*spec)
     mat = PowerGraph(mat_group)
-    assert mat.mode == "materialized"
+    assert mat.materialized
     for text in ("(1,0)", "(0,1)"):
         x = lazy_group.parse_element(text)
         assert classify_element(lazy, x) == classify_element(mat, x), text
@@ -114,7 +114,7 @@ def test_element_report_walks_each_centralizer_once(monkeypatch):
     cases = [(s8, mixed, 1), (s8, octo, 2), (m, m.parse_element("(1,0)"), 2)]
     for group, x, want in list(cases):
         twins = PowerGraph(group).element_n_class(x)
-        assert min(twins) != max(twins) and PowerGraph(group).mode == "lazy"
+        assert min(twins) != max(twins) and not PowerGraph(group).materialized
         cases.append((group, max(twins), want))
     for group, x, want in cases:
         assert walks(group, x) == want, (group.descriptor, group.element_label(x))

@@ -78,7 +78,7 @@ def test_identity_never_critical():
 
 def test_metacyclic_kernel_class():
     graph = PowerGraph(M100)
-    order5 = M100.power(M100.x, 5)
+    order5 = M100.power(M100.index_of_pair(1, 0), 5)
     rec = classify_element(graph, order5)
     assert rec.kind == "compound" and rec.is_critical
     assert (rec.params.p, rec.params.r, rec.params.s) == (5, 2, 0)

@@ -164,12 +164,13 @@ def test_constructor_bounds():
 
 def test_metacyclic_builder_examples():
     g = make_metacyclic(5, 2, 2, 2, 7)
+    x, y = g.index_of_pair(1, 0), g.index_of_pair(0, 1)
     assert g.order == 100
-    assert g.element_order(g.x) == 25
-    assert g.element_order(g.y) == 4
+    assert g.element_order(x) == 25
+    assert g.element_order(y) == 4
     # conjugation x^y = x^7
-    conj = g.mul(g.mul(g.inv(g.y), g.x), g.y)
-    assert conj == g.power(g.x, 7)
+    conj = g.mul(g.mul(g.inv(y), x), y)
+    assert conj == g.power(x, 7)
     # at a = 3 the automorphism x -> x^7 has order 20, not 4; the order-4
     # action is generated by 7^5 = 57 (mod 125)
     with pytest.raises(ValueError, match="not well defined"):
@@ -226,8 +227,8 @@ def test_metacyclic_word_pow_matches_binary_exponentiation():
 
 def test_metacyclic_pair_descriptors():
     g = make_metacyclic(5, 2, 2, 2, 7)
-    assert g.element_label(g.x) == "(1,0)"
-    assert g.parse_element("(1,0)") == g.x
+    assert g.element_label(g.index_of_pair(1, 0)) == "(1,0)"
+    assert g.parse_element("(1,0)") == g.index_of_pair(1, 0)
     assert g.parse_element("(3,2)") == g.index_of_pair(3, 2)
     with pytest.raises(ValueError):
         g.parse_element("(25,0)")

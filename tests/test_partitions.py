@@ -87,7 +87,7 @@ def test_hughes_thompson_examples():
 
 def test_hughes_thompson_within_subgroup():
     m = make_metacyclic(5, 2, 2, 2, 7)
-    kernel = m.members(m.x)
+    kernel = m.members(m.index_of_pair(1, 0))
     assert hughes_thompson(m, 5, within=kernel) == kernel
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import astuple
 
 import pytest
@@ -75,14 +76,6 @@ def test_neighborhoods_match_brute_force_on_s4():
 # -- common neighbourhood / closure ---------------------------------------------
 
 
-def test_common_neighborhood():
-    pg = PowerGraph(S4)
-    assert pg.common_neighborhood(frozenset()) == frozenset(range(24))
-    assert pg.common_neighborhood({S4.identity}) == frozenset(range(24))
-    pair = {S4.parse_element("(1 2 3)"), S4.parse_element("(1 3 2)")}
-    assert labels(S4, pg.common_neighborhood(pair)) == {"()", "(1 2 3)", "(1 3 2)"}
-
-
 def test_closure_examples():
     pg = PowerGraph(D30)
     order15 = {x for x in range(30) if D30.element_order(x) == 15 and D30.members(x) == D30.members(1)}
@@ -114,13 +107,16 @@ def test_lazy_closure_matches_materialized():
             assert lazy.closure(xs) == mat.closure(xs), (g.descriptor, sorted(xs))
 
 
-def test_lazy_common_neighborhood():
+def test_lazy_closure_drops_the_identity():
+    # N[1] = G changes no intersection; anchored on the identity, the pass
+    # over C(1) would walk all 39,916,800 elements of S_11
+    s11 = make_symmetric(11)
+    sigma = s11.parse_element("(1 2 3)(4 5 6 7 8)")
+    started = time.perf_counter()
+    assert PowerGraph(s11).closure({s11.identity, sigma}) == PowerGraph(s11).closure({sigma})
+    assert time.perf_counter() - started < 1.0
     lazy = PowerGraph(S4, materialize=False)
-    mat = PowerGraph(S4)
-    pair = {S4.parse_element("(1 2 3)"), S4.parse_element("(1 3 2)")}
-    assert lazy.common_neighborhood(pair) == mat.common_neighborhood(pair)
-    with pytest.raises(ScaleError):
-        lazy.common_neighborhood(frozenset())
+    assert lazy.closure({S4.identity}) == lazy.star_vertices() == PowerGraph(S4).star_vertices()
 
 
 def test_moore_closure_laws_quick():
@@ -147,6 +143,10 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     subsets += [frozenset(rng.sample(range(g.order), rng.randint(2, min(g.order, 8)))) for _ in range(40)]
     expected = [brute_closure(g, xs) for xs in subsets]
     poset = g.cyclic_poset()
+    # the common neighbourhood N[X] is the meet of X's nodes; N[{}] = G
+    whole = frozenset(range(g.order))
+    common = [poset.expand(poset.meet(poset.mask_of(xs))) for xs in subsets]
+    assert common == [whole.intersection(*(brute_closed_neighborhood(g, x) for x in xs)) for xs in subsets]
 
     def kernel(graph):
         return [poset.expand(graph.closure_mask(poset.mask_of(xs))) for xs in subsets]
@@ -160,7 +160,7 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     # past the memo's cap, misses are still computed, just not kept
     monkeypatch.setattr(power_graph, "_CACHE_CAP", 4)
     capped = PowerGraph(g)
-    assert len({capped.common_neighborhood(xs) for xs in subsets}) > 4
+    assert len({poset.meet(poset.mask_of(xs)) for xs in subsets}) > 4
     for _ in range(2):
         assert [capped.closure(xs) for xs in subsets] == expected
         assert kernel(capped) == expected
@@ -239,7 +239,7 @@ def test_twin_partition_unsupported_lazy():
 def test_element_n_class_lazy_s8():
     s8 = make_symmetric(8)
     pg = PowerGraph(s8)
-    assert pg.mode == "lazy"
+    assert not pg.materialized
     sigma = s8.parse_element("(1 2 3)(4 5 6 7 8)")
     cls = pg.element_n_class(sigma)
     assert cls == s8.cyclic_generators(sigma)
@@ -249,6 +249,16 @@ def test_element_n_class_lazy_s8():
     # C(octo), e.g. by (1 2 5 6)(3 4 7 8), whose square it is
     octo = s8.parse_element("(1 2 3 4 5 6 7 8)")
     assert pg.element_n_class(octo) == s8.cyclic_generators(octo)
+
+
+def test_element_query_expands_only_its_class():
+    d2000 = make_dihedral(2000)
+    graph = PowerGraph(d2000)
+    assert graph.materialized
+    for x in (1, 7, 1000, 2000):
+        classify_element(graph, x)
+    assert graph.element_n_class(1) == d2000.cyclic_generators(1)
+    assert "classes" not in vars(graph.twin_partition())
 
 
 def test_element_n_class_identity_is_star_set():
@@ -275,7 +285,6 @@ def test_lazy_adjacency_matches_brute_force():
     for x in range(g.order):
         for y in range(g.order):
             assert lazy.adjacent_or_equal(x, y) == brute_adjacent_or_equal(g, x, y)
-    assert not lazy.adjacent(3, 3)
 
 
 def test_lazy_matches_materialized_s7_cycle_types():
@@ -374,12 +383,12 @@ def test_graph_takes_its_mode_from_the_group(monkeypatch):
     with pytest.raises(ScaleError, match=message):
         maximal_cyclic_subgroups(lazy_group)
     assert (lazy_group.materialized, mat_group.materialized) == (False, True)
-    assert PowerGraph(lazy_group).mode == "lazy"
-    assert PowerGraph(mat_group).mode == "materialized"
+    assert not PowerGraph(lazy_group).materialized
+    assert PowerGraph(mat_group).materialized
     assert len(maximal_cyclic_subgroups(mat_group)) == 13
     # the oracle tests still force a mode
-    assert PowerGraph(lazy_group, materialize=True).mode == "materialized"
-    assert PowerGraph(mat_group, materialize=False).mode == "lazy"
+    assert PowerGraph(lazy_group, materialize=True).materialized
+    assert not PowerGraph(mat_group, materialize=False).materialized
 
 
 def test_node_mask_queries_need_materialized_mode():
