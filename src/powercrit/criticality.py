@@ -64,10 +64,12 @@ class GroupKind:
 
 def classify_class(graph: PowerGraph, members) -> NClassRecord:
     """Type the twin class `members` and decide whether it is critical;
-    materialized, the class is checked and its kept record returned."""
-    if graph.materialized:
-        return graph.class_record(graph.class_id(members), _class_record)
-    return _class_record(graph, members)
+    ValueError if `members` is not a closed-twin class."""
+    g, members = graph.group, frozenset(members)
+    x = min(members, default=-1)
+    if not 0 <= x < g.order or graph.element_n_class(x) != members:
+        raise ValueError(f"{sorted(members)} is not a closed-twin class of {g.descriptor}")
+    return classify_element(graph, x) if graph.materialized else _class_record(graph, members)
 
 
 def _class_record(graph: PowerGraph, cls) -> NClassRecord:
@@ -84,8 +86,7 @@ def _class_record(graph: PowerGraph, cls) -> NClassRecord:
         rep, star = poset.least[low], low == poset.sub_of[g.identity]
         size = sum(len(poset.gens[s]) for s in poset.nodes(own))
         kind = "plain" if own == 1 << low else "compound"
-        # twins share one comparability mask, the common neighbourhood's nodes
-        hat = graph.closure_of_meet(poset.comp[low])
+        hat = graph.closure_mask(own)
         if star and hat != own:
             raise InternalConsistencyError(
                 f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"
@@ -93,9 +94,7 @@ def _class_record(graph: PowerGraph, cls) -> NClassRecord:
         closure_size = sum(len(poset.gens[s]) for s in poset.nodes(hat))
         closure_is_class_and_identity = hat == own | 1 << poset.sub_of[g.identity]
     else:
-        members = frozenset(cls)
-        if not members:
-            raise ValueError("a twin class is never empty")
+        members = cls
         rep, star, size = min(members), g.identity in members, len(members)
         # a twin class is a union of same-generator classes and holds rep's,
         # so it spans one cyclic subgroup iff every member generates <rep>
@@ -172,8 +171,11 @@ def _compound_params(g: Group, members: frozenset[int]) -> CompoundParams:
 
 
 def classify_element(graph: PowerGraph, x: int) -> NClassRecord:
-    """Classify the twin class of one element; works at lazy scale."""
-    return classify_class(graph, graph.element_n_class(x))
+    """Classify the twin class of one element; works at lazy scale.
+    Materialized, the kept record of x's class id is returned."""
+    if graph.materialized:
+        return graph.class_record(graph.twin_partition().class_of[x], _class_record)
+    return _class_record(graph, graph.element_n_class(x))
 
 
 def class_records(graph: PowerGraph) -> list[NClassRecord]:

@@ -368,7 +368,7 @@ class PermutationGroup(Group):
     Rank order is the lexicographic order of one-line notation, so rank 0
     is the identity and :mod:`itertools`' permutation stream enumerates
     the whole group in rank order at C speed.  Nothing of size k! is ever
-    stored; index -> word decoding is cached only for small degrees.
+    stored, and index -> word decoding keeps no cache.
     """
 
     def __init__(self, degree: int):
@@ -379,15 +379,10 @@ class PermutationGroup(Group):
         super().__init__(factorial(degree), f"S:{degree}")
         self.degree = degree
         self._fact = [factorial(i) for i in range(degree + 1)]
-        self._word_cache: dict[int, tuple[int, ...]] | None = {} if degree <= 8 else None
 
     # -- rank / unrank ------------------------------------------------------
 
     def word_of(self, a: int) -> tuple[int, ...]:
-        if self._word_cache is not None:
-            got = self._word_cache.get(a)
-            if got is not None:
-                return got
         if not 0 <= a < self.order:
             raise ValueError(f"rank {a} out of range for {self.descriptor}")
         syms = list(range(self.degree))
@@ -396,10 +391,7 @@ class PermutationGroup(Group):
         for i in range(self.degree - 1, -1, -1):
             d, rest = divmod(rest, self._fact[i])
             out.append(syms.pop(d))
-        word = tuple(out)
-        if self._word_cache is not None:
-            self._word_cache[a] = word
-        return word
+        return tuple(out)
 
     def index_of(self, w: tuple[int, ...]) -> int:
         # digit i of the Lehmer code: the symbols below w[i] not yet used

@@ -145,10 +145,6 @@ class Verdict:
     detail: str = ""
 
 
-def _graph(group: Group, graph: PowerGraph | None) -> PowerGraph:
-    return graph if graph is not None else PowerGraph(group)
-
-
 def _obstruction_text(group: Group, part: PartitionResult) -> str:
     a, b, shared = part.obstruction
     return (
@@ -169,13 +165,12 @@ def _partition_with_exponent_two(group: Group) -> tuple[PartitionResult | None, 
     return part, ""
 
 
-def check_partition_implies_compound_critical(group: Group, graph: PowerGraph | None = None) -> Verdict:
+def check_partition_implies_compound_critical(group: Group, graph: PowerGraph) -> Verdict:
     """Non-trivial cyclic partition with prime-power exponent >= 2 components
     must force a compound critical group."""
     part, why = _partition_with_exponent_two(group)
     if part is None:
         return Verdict(False, None, why)
-    graph = _graph(group, graph)
     kind = classify_group(graph)
     if kind.is_critical_group and kind.is_compound_group:
         return Verdict(True, True, "compound critical as required")
@@ -190,12 +185,11 @@ def check_partition_implies_compound_critical(group: Group, graph: PowerGraph | 
     return Verdict(True, False, "group flags disagree with per-class records")
 
 
-def check_plain_critical_maximal(group: Group, graph: PowerGraph | None = None) -> Verdict:
+def check_plain_critical_maximal(group: Group, graph: PowerGraph) -> Verdict:
     """In a group with a cyclic partition, plain critical elements must be maximal."""
     part = cyclic_partition(group)
     if not part.is_partition:
         return Verdict(False, None, _obstruction_text(group, part))
-    graph = _graph(group, graph)
     for rec in nontrivial_records(graph):
         if rec.kind == "plain" and rec.is_critical:
             # all members of a plain class generate the same cyclic

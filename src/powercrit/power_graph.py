@@ -9,10 +9,10 @@ Two operating modes:
   comparability mask shared by the generators of <x>.  Closed twins are
   the subgroups with equal masks, star vertices generate the subgroups
   whose mask is full, and the one closure kernel, ``closure_mask``, takes
-  N[N[X]] as two meets over node masks, the second memoized per result of
-  the first (``closure_of_meet``); a common neighbourhood is the first
-  meet alone (``CyclicPoset.meet``).  A partition is one node mask per
-  class; an element query expands its own class, DOT export all classes.
+  N[N[X]] as two meets over node masks, kept by no memo; a common
+  neighbourhood is the first meet alone (``CyclicPoset.meet``).  A
+  partition is one node mask per class; an element's record is read off
+  its class's mask, and DOT export expands all classes.
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x is the one lazy kernel,
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-# entries kept per graph in each of its memos (fixed elements, closures, N[x])
+# entries kept per graph in each of its lazy memos (fixed elements, N[x])
 _CACHE_CAP = 4096
 
 
@@ -84,12 +84,9 @@ class PowerGraph:
         self.group = group
         self.materialized = group.materialized if materialize is None else bool(materialize)
         self._poset: CyclicPoset | None = None
-        self._erows: list[int] | None = None
         self._twin: TwinPartition | None = None
-        self._diamond: TwinPartition | None = None
         self._fixed_cache: dict[int, CyclicWord] = {}
         self._class_records: dict[int, object] = {}
-        self._closures: dict[int, int] = {}
         self._neighborhoods: dict[int, list] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
@@ -182,19 +179,10 @@ class PowerGraph:
         return frozenset(map(g.index_of, hat))
 
     def closure_mask(self, mask: int) -> int:
-        """The closure of a node mask: :meth:`closure_of_meet` of its common
-        neighbourhood meet(mask)."""
-        return self.closure_of_meet(self._require_materialized("closure on node masks").meet(mask))
-
-    def closure_of_meet(self, m: int) -> int:
-        """The nodes comparable with every node of the common neighbourhood
-        `m` (a node mask), kept per distinct m."""
-        hat = self._closures.get(m)
-        if hat is None:
-            hat = self._require_materialized("closure on node masks").meet(m)
-            if len(self._closures) < _CACHE_CAP:
-                self._closures[m] = hat
-        return hat
+        """The closure of a node mask: the nodes comparable with every node
+        of its common neighbourhood meet(mask)."""
+        poset = self._require_materialized("closure on node masks")
+        return poset.meet(poset.meet(mask))
 
     def _subgroup_reps(self, words) -> list[CyclicWord]:
         """One fixed element per cyclic subgroup the words generate, the
@@ -288,23 +276,10 @@ class PowerGraph:
             self._twin = TwinPartition(tuple(masks), class_of, poset)
         return self._twin
 
-    def class_id(self, members) -> int:
-        """The id of the twin class `members`; ValueError if `members` is
-        not a closed-twin class (materialized mode)."""
-        twin = self.twin_partition()
-        members = frozenset(members)
-        x = min(members, default=-1)
-        if not 0 <= x < self.group.order or twin.class_containing(x) != members:
-            raise ValueError(f"{sorted(members)} is not a closed-twin class of {self.group.descriptor}")
-        return twin.class_of[x]
-
     def diamond_partition(self) -> TwinPartition:
         """Partition into classes generating the same cyclic subgroup: the nodes."""
-        if self._diamond is None:
-            poset = self._require_materialized("diamond partition")
-            nodes = tuple(1 << s for s in range(len(poset.gens)))
-            self._diamond = TwinPartition(nodes, tuple(poset.sub_of), poset)
-        return self._diamond
+        poset = self._require_materialized("diamond partition")
+        return TwinPartition(tuple(1 << s for s in range(len(poset.gens))), tuple(poset.sub_of), poset)
 
     def element_n_class(self, x: int) -> frozenset[int]:
         """The closed-twin class of x.
@@ -381,15 +356,13 @@ class PowerGraph:
         contains both, i.e. iff they share a maximal cyclic subgroup, so
         the rows come from one sweep over those subgroups.
         """
-        if self._erows is None:
-            poset = self._require_materialized("enhanced power graph rows")
-            erows = [0] * self.group.order
-            for s in poset.maxima:
-                mask = sum(1 << m for m in poset.powers[s])
-                for m in poset.powers[s]:
-                    erows[m] |= mask
-            self._erows = erows
-        return self._erows
+        poset = self._require_materialized("enhanced power graph rows")
+        erows = [0] * self.group.order
+        for s in poset.maxima:
+            mask = sum(1 << m for m in poset.powers[s])
+            for m in poset.powers[s]:
+                erows[m] |= mask
+        return erows
 
     # -- derived queries -----------------------------------------------------------
 

@@ -7,8 +7,9 @@ group spec and offending element.  The closure, criticality and
 partitions suites share one walk of the family, with one power graph per
 group, and the theorems suite reads the walk's verdicts on its metacyclic
 groups.  The closure suite draws the subsets random.Random.sample would
-from one seeded generator and enters the closure kernel at its memo.  The
-suites back both the `verify` CLI command and the acceptance tests.
+from one seeded generator, and keeps each common neighbourhood's closure
+for the group it checks.  The suites back both the `verify` CLI command
+and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ def _check_closure(res: SuiteResult, graph: PowerGraph, bits, subsets: int) -> N
     A closure is a union of whole generator sets, so an element set lies
     inside it iff the nodes the set generates do.  Each subset's node mask
     and common neighbourhood are folded from per-element tables, and the
-    closure kernel is entered at its memo, keyed on the common
-    neighbourhood.  Idempotence is checked once per distinct closure.
+    second meet of the closure kernel is kept per common neighbourhood for
+    this group only.  Idempotence is checked once per distinct closure.
     """
     group = graph.group
     n = group.order
@@ -184,7 +185,7 @@ def _check_closure(res: SuiteResult, graph: PowerGraph, bits, subsets: int) -> N
     poset = group.cyclic_poset()
     bit_of = [1 << s for s in poset.sub_of]
     comp_of = [poset.comp[s] for s in poset.sub_of]
-    full, closure_of_meet, fail = poset.full, graph.closure_of_meet, res.failures.append
+    full, closure_of_meet, fail = poset.full, cache(poset.meet), res.failures.append
     star = poset.mask_of(graph.star_vertices())
     idempotent: dict[int, bool] = {}
     nonempty = 0

@@ -96,10 +96,10 @@ def test_q16_compound_class_with_nonzero_s():
 
 
 def test_classify_class_rejects_non_class():
-    graph = PowerGraph(S4)
-    for members in (frozenset({0, 5}), frozenset({100}), frozenset({-1}), frozenset()):
-        with pytest.raises(ValueError, match="not a closed-twin class"):
-            classify_class(graph, members)
+    for graph in (PowerGraph(S4), PowerGraph(S4, materialize=False)):
+        for members in (frozenset({0, 5}), frozenset({100}), frozenset({-1}), frozenset()):
+            with pytest.raises(ValueError, match="not a closed-twin class"):
+                classify_class(graph, members)
 
 
 @pytest.mark.parametrize("spec,compounds", [("D:2000", 0), ("M:5,2,2,2,7", 26), ("Q:4", 1)])

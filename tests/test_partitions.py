@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from powercrit import (
+    PowerGraph,
     check_main_corollary,
     check_partition_implies_compound_critical,
     check_plain_critical_maximal,
@@ -129,24 +130,32 @@ def test_kegel_matches_partition_brute_force():
 # -- theorem harnesses ------------------------------------------------------------------
 
 
+def _compound_critical(group):
+    return check_partition_implies_compound_critical(group, PowerGraph(group))
+
+
+def _plain_critical_maximal(group):
+    return check_plain_critical_maximal(group, PowerGraph(group))
+
+
 def test_partition_implies_compound_critical():
-    v = check_partition_implies_compound_critical(make_metacyclic(5, 2, 2, 2, 7))
+    v = _compound_critical(make_metacyclic(5, 2, 2, 2, 7))
     assert v.applicable and v.passed is True
-    v = check_partition_implies_compound_critical(make_metacyclic(5, 3, 2, 2, 57))
+    v = _compound_critical(make_metacyclic(5, 3, 2, 2, 57))
     assert v.applicable and v.passed is True
-    v = check_partition_implies_compound_critical(make_dihedral(15))
+    v = _compound_critical(make_dihedral(15))
     assert not v.applicable  # order-2 components have exponent 1
-    v = check_partition_implies_compound_critical(make_cyclic(12))
+    v = _compound_critical(make_cyclic(12))
     assert not v.applicable and "trivial" in v.detail
 
 
 def test_plain_critical_maximal():
-    assert check_plain_critical_maximal(make_dihedral(15)).passed is True
-    assert check_plain_critical_maximal(make_dihedral(30)).passed is True
+    assert _plain_critical_maximal(make_dihedral(15)).passed is True
+    assert _plain_critical_maximal(make_dihedral(30)).passed is True
     # S4 partitions (PGL(2,3)) and has no plain critical elements: vacuous pass
-    v = check_plain_critical_maximal(make_symmetric(4))
+    v = _plain_critical_maximal(make_symmetric(4))
     assert v.applicable and v.passed is True
-    v = check_plain_critical_maximal(make_generalized_quaternion(3))
+    v = _plain_critical_maximal(make_generalized_quaternion(3))
     assert not v.applicable and "no cyclic partition" in v.detail
 
 

@@ -16,6 +16,7 @@ from conftest import (
     integer_partitions,
 )
 from powercrit import (
+    CyclicPoset,
     PowerGraph,
     ScaleError,
     census,
@@ -147,24 +148,9 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     whole = frozenset(range(g.order))
     common = [poset.expand(poset.meet(poset.mask_of(xs))) for xs in subsets]
     assert common == [whole.intersection(*(brute_closed_neighborhood(g, x) for x in xs)) for xs in subsets]
-
-    def kernel(graph):
-        return [poset.expand(graph.closure_mask(poset.mask_of(xs))) for xs in subsets]
-
     pg = PowerGraph(g)
-    # the second pass is answered from the closure memo, which holds node masks
-    for _ in range(2):
-        assert [pg.closure(xs) for xs in subsets] == expected
-        assert kernel(pg) == expected
-    assert all(type(hat) is int for hat in pg._closures.values())
-    # past the memo's cap, misses are still computed, just not kept
-    monkeypatch.setattr(power_graph, "_CACHE_CAP", 4)
-    capped = PowerGraph(g)
-    assert len({poset.meet(poset.mask_of(xs)) for xs in subsets}) > 4
-    for _ in range(2):
-        assert [capped.closure(xs) for xs in subsets] == expected
-        assert kernel(capped) == expected
-    assert len(capped._closures) == 4
+    assert [pg.closure(xs) for xs in subsets] == expected
+    assert [poset.expand(pg.closure_mask(poset.mask_of(xs))) for xs in subsets] == expected
     # lazily, a twin class reads its common neighbourhood off the N[x] kept
     # for its members; with the memo full, N[x] is filtered again instead
     twins = brute_twin_classes(brute_rows(g))
@@ -251,12 +237,17 @@ def test_element_n_class_lazy_s8():
     assert pg.element_n_class(octo) == s8.cyclic_generators(octo)
 
 
-def test_element_query_expands_only_its_class():
+def test_element_query_expands_only_its_class(monkeypatch):
     d2000 = make_dihedral(2000)
     graph = PowerGraph(d2000)
     assert graph.materialized
+    # every class queried is plain, so its record is read off node masks alone
+    expanded = []
+    expand = CyclicPoset.expand
+    monkeypatch.setattr(CyclicPoset, "expand", lambda poset, mask: expanded.append(mask) or expand(poset, mask))
     for x in (1, 7, 1000, 2000):
-        classify_element(graph, x)
+        assert classify_element(graph, x).kind == "plain"
+    assert expanded == []
     assert graph.element_n_class(1) == d2000.cyclic_generators(1)
     assert "classes" not in vars(graph.twin_partition())
 
@@ -393,7 +384,7 @@ def test_graph_takes_its_mode_from_the_group(monkeypatch):
 
 def test_node_mask_queries_need_materialized_mode():
     lazy = PowerGraph(S4, materialize=False)
-    for query in (lazy.node_rows, lambda: lazy.closure_mask(1), lambda: lazy.closure_of_meet(1)):
+    for query in (lazy.node_rows, lambda: lazy.closure_mask(1)):
         with pytest.raises(ScaleError, match="needs materialized mode"):
             query()
 

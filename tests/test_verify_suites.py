@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from powercrit import MetacyclicParams, PowerGraph, census, make_cyclic, make_dihedral
+from powercrit import CyclicPoset, MetacyclicParams, PowerGraph, census, make_cyclic, make_dihedral
 from powercrit import verify
 from powercrit.verify import (
     SUITE_NAMES,
@@ -58,7 +58,7 @@ def _recording_pairs(monkeypatch):
 
 def test_closure_suite_failure_text(monkeypatch):
     drawn = _recording_pairs(monkeypatch)
-    monkeypatch.setattr(PowerGraph, "closure_of_meet", lambda graph, m: 0)
+    monkeypatch.setattr(CyclicPoset, "meet", lambda poset, m: 0)
     res = suite_closure([make_cyclic(5)], subsets=20)
     # with every closure empty, extensivity and the star law fail on each
     # non-empty xs, and idempotence and monotonicity hold
