@@ -42,7 +42,6 @@ from .groups import (
     CyclicPoset,
     CyclicSubgroup,
     Group,
-    cyclic_subgroup,
     exponent_and_pi,
     generated_subgroup,
     is_maximal_element,
@@ -67,13 +66,11 @@ from .numtheory import (
     multiplicative_order,
 )
 from .partitions import (
-    ComponentInfo,
     PartitionResult,
     Verdict,
     check_main_corollary,
     check_partition_implies_compound_critical,
     check_plain_critical_maximal,
-    component_profile,
     cyclic_partition,
     hughes_thompson,
     kegel_partitionable,

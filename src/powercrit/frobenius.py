@@ -26,7 +26,6 @@ from .errors import ScaleError
 from .groups import (
     CyclicSubgroup,
     Group,
-    cyclic_subgroup,
     make_metacyclic,
     max_materialize,
     metacyclic_violation,
@@ -161,8 +160,8 @@ def _try_structure(group: Group, p: int, a: int, q: int, b: int) -> FrobeniusStr
     if len(kernels) != 1 or complement is None or any(o % (p * q) == 0 for o in orders):
         return None
     return FrobeniusStructure(
-        kernel=cyclic_subgroup(group, poset.least[kernels[0]]),
-        complement=cyclic_subgroup(group, poset.least[complement]),
+        kernel=CyclicSubgroup(poset.least[kernels[0]], p**a),
+        complement=CyclicSubgroup(poset.least[complement], q**b),
         p=p,
         a=a,
         q=q,

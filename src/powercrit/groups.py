@@ -56,7 +56,6 @@ __all__ = [
     "PermutationGroup",
     "MetacyclicGroup",
     "RotationReflectionGroup",
-    "cyclic_subgroup",
     "exponent_and_pi",
     "generated_subgroup_words",
     "is_maximal_element",
@@ -164,7 +163,7 @@ class Group(ABC):
         """The cyclic subgroup generated by a, as a set of indices."""
         poset = self._materialized_poset()
         if poset is not None:
-            return poset.members(poset.sub_of[a])
+            return frozenset(poset.powers[poset.sub_of[a]])
         return frozenset(self.powers(a))
 
     def cyclic_generators(self, a: int) -> frozenset[int]:
@@ -774,23 +773,6 @@ class CyclicPoset:
             (s for s, top in enumerate(maximal) if top),
             key=lambda s: (-len(powers[s]), least[s]),
         )
-        self._members: list[frozenset[int] | None] = [None] * len(powers)
-        self._maximal_subgroups: tuple[CyclicSubgroup, ...] | None = None
-
-    def members(self, s: int) -> frozenset[int]:
-        got = self._members[s]
-        if got is None:
-            got = self._members[s] = frozenset(self.powers[s])
-        return got
-
-    def maximal_subgroups(self) -> tuple[CyclicSubgroup, ...]:
-        """The subgroups of ``maxima``, in its order, built on first call and kept."""
-        if self._maximal_subgroups is None:
-            self._maximal_subgroups = tuple(
-                CyclicSubgroup(generator=self.least[s], order=len(self.powers[s]), members=self.members(s))
-                for s in self.maxima
-            )
-        return self._maximal_subgroups
 
     # -- node masks -----------------------------------------------------------
 
@@ -824,18 +806,11 @@ class CyclicPoset:
 
 @dataclass(frozen=True, slots=True)
 class CyclicSubgroup:
-    """A cyclic subgroup: its least generator, order and member set."""
+    """A cyclic subgroup, as its poset node holds it: least generator and
+    order.  ``Group.members(generator)`` expands it."""
 
     generator: int
     order: int
-    members: frozenset[int]
-
-
-def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
-    """The cyclic subgroup generated by g, with its least generator."""
-    mem = group.members(g)
-    gens = group.cyclic_generators(g)
-    return CyclicSubgroup(generator=min(gens), order=len(mem), members=mem)
 
 
 class CyclicWord:
@@ -880,9 +855,10 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     """All cyclic subgroups maximal under inclusion: the maxima of the poset.
 
     Sorted by descending order then least generator.  Every element of the
-    group lies in at least one of them.  The poset builds them once.
+    group lies in at least one of them.
     """
-    return list(group.poset("maximal cyclic subgroup enumeration").maximal_subgroups())
+    poset = group.poset("maximal cyclic subgroup enumeration")
+    return [CyclicSubgroup(poset.least[s], len(poset.powers[s])) for s in poset.maxima]
 
 
 def is_maximal_element(group: Group, x: int) -> bool:

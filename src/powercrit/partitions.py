@@ -21,17 +21,15 @@ from .groups import (
     is_maximal_element,
     maximal_cyclic_subgroups,
 )
-from .numtheory import PrimePower, as_prime_power, is_prime
+from .numtheory import as_prime_power, is_prime
 from .power_graph import PowerGraph
 
 __all__ = [
-    "ComponentInfo",
     "PartitionResult",
     "Verdict",
     "check_main_corollary",
     "check_partition_implies_compound_critical",
     "check_plain_critical_maximal",
-    "component_profile",
     "cyclic_partition",
     "hughes_thompson",
     "kegel_partitionable",
@@ -56,19 +54,6 @@ class PartitionResult:
     @property
     def is_trivial(self) -> bool:
         return self.components is not None and len(self.components) == 1
-
-
-@dataclass(frozen=True)
-class ComponentInfo:
-    order: int
-    prime_power: PrimePower | None
-
-
-def component_profile(result: PartitionResult) -> list[ComponentInfo]:
-    """Order and prime-power decomposition of each partition component."""
-    if result.components is None:
-        raise ValueError("no partition to profile")
-    return [ComponentInfo(c.order, as_prime_power(c.order)) for c in result.components]
 
 
 def cyclic_partition(group: Group) -> PartitionResult:
@@ -109,14 +94,9 @@ def hughes_thompson(group: Group, p: int, within=None) -> frozenset[int]:
         pool = range(group.order)
     else:
         pool = sorted(within)
-    seen: set[frozenset[int]] = set()
-    gens: list[int] = []
-    for x in pool:
-        if group.element_order(x) != p:
-            mem = group.members(x)
-            if mem not in seen:
-                seen.add(mem)
-                gens.append(x)
+    # one generator per cyclic subgroup, its least: a pool that meets a
+    # subgroup holds all its generators, so the least one is in the pool
+    gens = [x for x in pool if group.element_order(x) != p and x == min(group.cyclic_generators(x))]
     return generated_subgroup(group, gens)
 
 
@@ -159,9 +139,10 @@ def _partition_with_exponent_two(group: Group) -> tuple[PartitionResult | None, 
         return None, _obstruction_text(group, part)
     if part.is_trivial:
         return None, "only the trivial partition"
-    for info in component_profile(part):
-        if info.prime_power is None or info.prime_power.k < 2:
-            return None, f"component of order {info.order} is not a prime power with exponent >= 2"
+    for c in part.components:
+        pp = as_prime_power(c.order)
+        if pp is None or pp.k < 2:
+            return None, f"component of order {c.order} is not a prime power with exponent >= 2"
     return part, ""
 
 

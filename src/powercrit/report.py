@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
-from .groups import Group, exponent_and_pi
+from .groups import Group, exponent_and_pi, is_maximal_element
 from .partitions import cyclic_partition
 from .power_graph import PowerGraph
 
@@ -482,9 +482,12 @@ def element_report(group: Group, element: int | str) -> dict:
     graph = PowerGraph(group)
     rec = classify_element(graph, x)
     order = group.element_order(x)
-    # x is maximal iff N[x], kept lazily from classification, is just <x>;
-    # N[e] = G is never built
-    maximal = group.order == 1 if x == group.identity else len(graph.closed_neighborhood(x)) == order
+    # materialized, the poset flags maximality; lazily, x is maximal iff
+    # N[x], kept from classification, is just <x> (N[e] = G is never built)
+    if group.materialized:
+        maximal = is_maximal_element(group, x)
+    else:
+        maximal = group.order == 1 if x == group.identity else len(graph.closed_neighborhood(x)) == order
     return {
         "group": group.descriptor,
         "order": group.order,

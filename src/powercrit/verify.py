@@ -14,6 +14,7 @@ and the acceptance tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -312,17 +313,19 @@ def suite_criticality(family: list[Group]) -> SuiteResult:
 
 def _check_order_p_lifting(res: SuiteResult, group: Group) -> None:
     # critical groups: p^2 divides the order and every order-p element
-    # is a power of an order-p^2 element
+    # is a power of an order-p^2 element y, that is, generates <y^p>
+    poset = group.cyclic_poset()
     for p, e in factorize(group.order):
         res.check(
             e >= 2,
             f"{group.descriptor}: critical but {p}^2 does not divide the order",
         )
-        order_p = [x for x in range(group.order) if group.element_order(x) == p]
-        order_p2 = [y for y in range(group.order) if group.element_order(y) == p * p]
-        for x in order_p:
+        lifted = poset.mask_of(pw[p] for pw in poset.powers if len(pw) == p * p)
+        for x in range(group.order):
+            if group.element_order(x) != p:
+                continue
             res.check(
-                any(x in group.members(y) for y in order_p2),
+                bool(lifted >> poset.sub_of[x] & 1),
                 f"{group.descriptor}: order-{p} element {group.element_label(x)} "
                 f"is not a power of an order-{p * p} element",
             )
@@ -355,17 +358,11 @@ def _check_partitions(res: SuiteResult, graph: PowerGraph) -> None:
         return
     part = cyclic_partition(group)
     if part.is_partition:
-        covered: set[int] = set()
-        ok = True
-        for i, comp in enumerate(part.components):
-            if comp.order < 2:
-                ok = False
-            covered |= comp.members
-            for other in part.components[i + 1 :]:
-                if (comp.members & other.members) != {group.identity}:
-                    ok = False
+        members = [group.members(c.generator) for c in part.components]
+        ok = all(c.order >= 2 and len(m) == c.order for c, m in zip(part.components, members))
+        ok = ok and all(a & b == {group.identity} for a, b in itertools.combinations(members, 2))
         res.check(
-            ok and covered == set(range(group.order)),
+            ok and frozenset().union(*members) == set(range(group.order)),
             f"{group.descriptor}: reported cyclic partition is not a partition",
         )
         res.check(
@@ -510,9 +507,9 @@ def suite_theorems(max_order: int, verdicts: dict[MetacyclicParams, bool] | None
         )
         if fs is not None:
             for sub, prime in ((fs.kernel, fs.p), (fs.complement, fs.q)):
-                ht = hughes_thompson(group, prime, within=sub.members)
+                members = group.members(sub.generator)
                 res.check(
-                    ht == sub.members,
+                    hughes_thompson(group, prime, within=members) == members,
                     f"{tag}: Hughes-Thompson subgroup of a Sylow subgroup is proper",
                 )
     # no EPPO-but-not-Frobenius tuple is expected in range; report either way

@@ -183,7 +183,7 @@ def brute_maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     subs = _brute_subgroups(group)
     by_size = sorted(subs, key=len, reverse=True)
     maximal = [
-        CyclicSubgroup(generator=subs[m][0], order=len(m), members=m)
+        CyclicSubgroup(generator=subs[m][0], order=len(m))
         for m in by_size
         if not any(m < t for t in by_size if len(t) > len(m))
     ]
@@ -197,7 +197,8 @@ def brute_cyclic_partition(group: Group):
     maxes = brute_maximal_cyclic_subgroups(group)
     for i in range(len(maxes)):
         for j in range(i + 1, len(maxes)):
-            shared = (maxes[i].members & maxes[j].members) - {group.identity}
+            first, second = (set(brute_powers(group, m.generator)) for m in (maxes[i], maxes[j]))
+            shared = (first & second) - {group.identity}
             if shared:
                 return None, (maxes[i], maxes[j], min(shared))
     return tuple(maxes), None
@@ -208,6 +209,20 @@ def product_table(group: Group) -> np.ndarray:
     """Every product mul(x, y), as a table; kept for the last two groups."""
     n = group.order
     return np.array([[group.mul(x, y) for y in range(n)] for x in range(n)])
+
+
+def brute_hughes_thompson(group: Group, p: int, pool=None) -> frozenset[int]:
+    """The subgroup generated by the pool's elements of order other than p
+    (the whole group by default), every one of them kept as a generator and
+    closed under the product table."""
+    table = product_table(group)
+    pool = range(group.order) if pool is None else pool
+    gens = [x for x in pool if len(brute_powers(group, x)) != p]
+    closed = frontier = {group.identity}
+    while frontier and gens:
+        frontier = set(table[np.ix_(sorted(frontier), gens)].ravel().tolist()) - closed
+        closed = closed | frontier
+    return frozenset(closed)
 
 
 def brute_centralizer(group: Group, x: int) -> frozenset[int]:

@@ -2,14 +2,16 @@ from collections import Counter
 
 import pytest
 
+from conftest import brute_hughes_thompson
 from powercrit import (
     PowerGraph,
+    as_prime_power,
     check_main_corollary,
     check_partition_implies_compound_critical,
     check_plain_critical_maximal,
-    component_profile,
     cyclic_partition,
     exists_for,
+    factorize,
     hughes_thompson,
     kegel_partitionable,
     make_cyclic,
@@ -19,7 +21,9 @@ from powercrit import (
     make_metacyclic,
     make_symmetric,
     maximal_cyclic_subgroups,
+    recognize_critical_structure,
 )
+from powercrit.verify import builtin_family
 
 
 def test_cyclic_partition_d30():
@@ -31,8 +35,7 @@ def test_cyclic_partition_d30():
 def test_cyclic_partition_metacyclic():
     part = cyclic_partition(make_metacyclic(5, 2, 2, 2, 7))
     assert Counter(c.order for c in part.components) == {4: 25, 25: 1}
-    profile = component_profile(part)
-    assert all(info.prime_power is not None and info.prime_power.k >= 2 for info in profile)
+    assert all(as_prime_power(c.order).k >= 2 for c in part.components)
 
 
 def test_cyclic_partition_trivial_for_cyclic_groups():
@@ -54,9 +57,9 @@ def test_cyclic_partition_obstruction_c2xc4():
     assert not part.is_partition
     a, b, shared = part.obstruction
     assert shared != g.identity
-    assert shared in a.members and shared in b.members
-    maxes = {m.members for m in maximal_cyclic_subgroups(g)}
-    assert a.members in maxes and b.members in maxes
+    assert shared in g.members(a.generator) and shared in g.members(b.generator)
+    maxes = maximal_cyclic_subgroups(g)
+    assert a in maxes and b in maxes
 
 
 def test_cyclic_partition_obstruction_q8():
@@ -90,6 +93,20 @@ def test_hughes_thompson_within_subgroup():
     m = make_metacyclic(5, 2, 2, 2, 7)
     kernel = m.members(m.index_of_pair(1, 0))
     assert hughes_thompson(m, 5, within=kernel) == kernel
+
+
+def test_hughes_thompson_matches_brute_closure():
+    # one least generator per cyclic subgroup closes to the same subgroup
+    # as every element of order other than p
+    for group in builtin_family(64):
+        for p, _ in factorize(group.order):
+            assert hughes_thompson(group, p) == brute_hughes_thompson(group, p), (group.descriptor, p)
+    m = make_metacyclic(5, 2, 2, 2, 7)
+    fs = recognize_critical_structure(m)
+    for sub, prime in ((fs.kernel, fs.p), (fs.complement, fs.q)):
+        members = m.members(sub.generator)
+        assert len(members) == sub.order
+        assert hughes_thompson(m, prime, within=members) == brute_hughes_thompson(m, prime, members) == members
 
 
 # -- Kegel criterion -----------------------------------------------------------------

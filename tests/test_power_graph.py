@@ -250,6 +250,11 @@ def test_element_query_expands_only_its_class(monkeypatch):
     assert expanded == []
     assert graph.element_n_class(1) == d2000.cyclic_generators(1)
     assert "classes" not in vars(graph.twin_partition())
+    # an element report reads maximality off the poset, so N[x] is not built
+    expanded.clear()
+    for x in (0, 1, 500, 2000):
+        assert element_report(d2000, x)["is_maximal"] == (x not in (0, 500))
+    assert expanded == []
 
 
 def test_element_n_class_identity_is_star_set():
