@@ -5,8 +5,9 @@ covering it with pairwise trivial intersections.  When the components are
 required to be cyclic the candidate set is forced: each maximal cyclic
 subgroup M = <m> must equal the unique component containing m, so the
 group admits a cyclic partition iff its maximal cyclic subgroups pairwise
-intersect trivially.  Detection is therefore a closed computation and a
-failure always comes with a concrete obstruction pair.
+intersect trivially.  Detection is therefore a closed computation, a
+failure always comes with a concrete obstruction pair, and the theorem
+harnesses take the partition found.
 """
 
 from __future__ import annotations
@@ -133,24 +134,23 @@ def _obstruction_text(group: Group, part: PartitionResult) -> str:
     )
 
 
-def _partition_with_exponent_two(group: Group) -> tuple[PartitionResult | None, str]:
-    part = cyclic_partition(group)
+def _partition_with_exponent_two(group: Group, part: PartitionResult) -> str:
     if not part.is_partition:
-        return None, _obstruction_text(group, part)
+        return _obstruction_text(group, part)
     if part.is_trivial:
-        return None, "only the trivial partition"
+        return "only the trivial partition"
     for c in part.components:
         pp = as_prime_power(c.order)
         if pp is None or pp.k < 2:
-            return None, f"component of order {c.order} is not a prime power with exponent >= 2"
-    return part, ""
+            return f"component of order {c.order} is not a prime power with exponent >= 2"
+    return ""
 
 
-def check_partition_implies_compound_critical(group: Group, graph: PowerGraph) -> Verdict:
-    """Non-trivial cyclic partition with prime-power exponent >= 2 components
-    must force a compound critical group."""
-    part, why = _partition_with_exponent_two(group)
-    if part is None:
+def check_partition_implies_compound_critical(graph: PowerGraph, part: PartitionResult) -> Verdict:
+    """A non-trivial cyclic partition `part` of ``graph.group`` into prime-power
+    components of exponent >= 2 must force a compound critical group."""
+    why = _partition_with_exponent_two(graph.group, part)
+    if why:
         return Verdict(False, None, why)
     kind = classify_group(graph)
     if kind.is_critical_group and kind.is_compound_group:
@@ -160,38 +160,37 @@ def check_partition_implies_compound_critical(group: Group, graph: PowerGraph) -
             return Verdict(
                 True,
                 False,
-                f"class of {group.element_label(rec.representative)} is {rec.kind}, "
+                f"class of {graph.group.element_label(rec.representative)} is {rec.kind}, "
                 f"critical={rec.is_critical}",
             )
     return Verdict(True, False, "group flags disagree with per-class records")
 
 
-def check_plain_critical_maximal(group: Group, graph: PowerGraph) -> Verdict:
-    """In a group with a cyclic partition, plain critical elements must be maximal."""
-    part = cyclic_partition(group)
+def check_plain_critical_maximal(graph: PowerGraph, part: PartitionResult) -> Verdict:
+    """Given a cyclic partition `part` of ``graph.group``, plain critical elements are maximal."""
+    group = graph.group
     if not part.is_partition:
         return Verdict(False, None, _obstruction_text(group, part))
     for rec in nontrivial_records(graph):
-        if rec.kind == "plain" and rec.is_critical:
-            # all members of a plain class generate the same cyclic
-            # subgroup, so the representative settles maximality
-            if not is_maximal_element(group, rec.representative):
-                return Verdict(
-                    True,
-                    False,
-                    f"plain critical {group.element_label(rec.representative)} is not maximal",
-                )
+        # all members of a plain class generate the same cyclic subgroup,
+        # so the representative settles maximality
+        if rec.kind == "plain" and rec.is_critical and not is_maximal_element(group, rec.representative):
+            return Verdict(
+                True,
+                False,
+                f"plain critical {group.element_label(rec.representative)} is not maximal",
+            )
     return Verdict(True, True, "every plain critical element is maximal")
 
 
-def check_main_corollary(group: Group) -> Verdict:
-    """Non-trivial cyclic partition with prime-power exponent >= 2 components
-    must exhibit a Frobenius structure with cyclic kernel C_{p^a} (p odd)
+def check_main_corollary(group: Group, part: PartitionResult) -> Verdict:
+    """A non-trivial cyclic partition `part` of `group` into prime-power components of
+    exponent >= 2 must exhibit a Frobenius structure with cyclic kernel C_{p^a} (p odd)
     and cyclic complement C_{q^b}, a, b >= 2."""
     from .frobenius import recognize_critical_structure
 
-    part, why = _partition_with_exponent_two(group)
-    if part is None:
+    why = _partition_with_exponent_two(group, part)
+    if why:
         return Verdict(False, None, why)
     fs = recognize_critical_structure(group)
     if fs is None:

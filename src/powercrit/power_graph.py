@@ -141,6 +141,10 @@ class PowerGraph:
             return poset.expand(poset.comp[poset.sub_of[x]])
         return frozenset(map(self.group.index_of, self._neighborhood_words(x)))
 
+    def closed_neighborhood_size(self, x: int) -> int:
+        """|N[x]|; lazily, the number of kept words, none decoded."""
+        return len(self.closed_neighborhood(x) if self._poset is not None else self._neighborhood_words(x))
+
     def closure(self, xs) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
 

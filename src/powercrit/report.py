@@ -487,7 +487,7 @@ def element_report(group: Group, element: int | str) -> dict:
     if group.materialized:
         maximal = is_maximal_element(group, x)
     else:
-        maximal = group.order == 1 if x == group.identity else len(graph.closed_neighborhood(x)) == order
+        maximal = group.order == 1 if x == group.identity else graph.closed_neighborhood_size(x) == order
     return {
         "group": group.descriptor,
         "order": group.order,

@@ -6,17 +6,19 @@ small elementary abelian products) and records every violation with the
 group spec and offending element.  The closure, criticality and
 partitions suites share one walk of the family, with one power graph per
 group, and the theorems suite reads the walk's verdicts on its metacyclic
-groups.  The closure suite draws the subsets random.Random.sample would
-from one seeded generator, and keeps each common neighbourhood's closure
-for the group it checks.  The suites back both the `verify` CLI command
-and the acceptance tests.
+groups.  The partitions suite derives each group's cyclic partition once,
+hands it to the theorem harnesses, and checks it with one count.  The
+closure suite draws the subsets random.Random.sample would from one
+seeded generator, and keeps each common neighbourhood's closure for the
+group it checks.  The suites back both the `verify` CLI command and the
+acceptance tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_, or_
@@ -359,40 +361,35 @@ def _check_partitions(res: SuiteResult, graph: PowerGraph) -> None:
     part = cyclic_partition(group)
     if part.is_partition:
         members = [group.members(c.generator) for c in part.components]
-        ok = all(c.order >= 2 and len(m) == c.order for c, m in zip(part.components, members))
-        ok = ok and all(a & b == {group.identity} for a, b in itertools.combinations(members, 2))
+        hits = Counter(x for m in members for x in m)
+        hits[group.identity] -= len(members) - 1  # the identity lies in every component
         res.check(
-            ok and frozenset().union(*members) == set(range(group.order)),
+            all(c.order >= 2 and len(m) == c.order for c, m in zip(part.components, members))
+            and hits == Counter(range(group.order)),
             f"{group.descriptor}: reported cyclic partition is not a partition",
         )
         res.check(
-            check_plain_critical_maximal(group, graph).passed is True,
+            check_plain_critical_maximal(graph, part).passed is True,
             f"{group.descriptor}: plain critical element is not maximal",
         )
     pp = as_prime_power(group.order)
     if pp is not None and pp.is_proper and group.order <= KEGEL_ORDER_CAP:
-        brute = part.is_partition and not part.is_trivial
         res.check(
-            kegel_partitionable(group) == brute,
+            kegel_partitionable(group) == (part.is_partition and not part.is_trivial),
             f"{group.descriptor}: Hughes-Thompson criterion disagrees with "
             "the cyclic-partition brute force",
         )
-    v44 = check_partition_implies_compound_critical(group, graph)
-    if v44.applicable:
-        res.check(v44.passed is True, f"{group.descriptor}: {v44.detail}")
-    vmc = check_main_corollary(group)
-    if vmc.applicable:
-        res.check(vmc.passed is True, f"{group.descriptor}: {vmc.detail}")
+    for v in (check_partition_implies_compound_critical(graph, part), check_main_corollary(group, part)):
+        if v.applicable:
+            res.check(v.passed is True, f"{group.descriptor}: {v.detail}")
     # dihedral groups over an odd rotation order are Frobenius, so
     # their cyclic partition must be found
     desc = group.descriptor
-    if desc.startswith("D:"):
-        n = int(desc[2:])
-        if n >= 3 and n % 2 == 1:
-            res.check(
-                part.is_partition and not part.is_trivial,
-                f"{desc}: expected a non-trivial cyclic partition",
-            )
+    if desc.startswith("D:") and (n := int(desc[2:])) >= 3 and n % 2 == 1:
+        res.check(
+            part.is_partition and not part.is_trivial,
+            f"{desc}: expected a non-trivial cyclic partition",
+        )
 
 
 def suite_partitions(family: list[Group]) -> SuiteResult:

@@ -8,11 +8,13 @@ production shortcuts (order divisibility, bitset rows, generator lifts).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 import numpy as np
 
 from powercrit import CyclicSubgroup, Group
 from powercrit.errors import InternalConsistencyError
+from powercrit.report import analyze_group
 
 
 def brute_powers(group: Group, x: int) -> list[int]:
@@ -202,6 +204,38 @@ def brute_cyclic_partition(group: Group):
             if shared:
                 return None, (maxes[i], maxes[j], min(shared))
     return tuple(maxes), None
+
+
+def isomorphism_invariant(group: Group) -> tuple:
+    """Every field of the group's analysis that names no element, so equal
+    on isomorphic groups: order, group kind, EPPO flag, prime set and star
+    size; the multiset of (size, kind, is_critical, closure_size,
+    is_star_class, (p, r, s)) over the twin classes; whether a cyclic
+    partition exists and its component orders; and whether a Frobenius
+    structure is found."""
+    doc = analyze_group(group)
+    classes = Counter(
+        (
+            c["size"],
+            c["kind"],
+            c["is_critical"],
+            c["closure_size"],
+            c["is_star_class"],
+            None if c["params"] is None else (c["params"]["p"], c["params"]["r"], c["params"]["s"]),
+        )
+        for c in doc["classes"]
+    )
+    return (
+        doc["order"],
+        tuple(doc["group_kind"].values()),
+        doc["is_eppo"],
+        tuple(doc["pi"]),
+        doc["star"]["size"],
+        classes,
+        doc["partition"]["exists"],
+        doc["partition"]["component_orders"],
+        doc["frobenius"] is not None,
+    )
 
 
 @functools.lru_cache(maxsize=2)

@@ -148,11 +148,15 @@ def test_kegel_matches_partition_brute_force():
 
 
 def _compound_critical(group):
-    return check_partition_implies_compound_critical(group, PowerGraph(group))
+    return check_partition_implies_compound_critical(PowerGraph(group), cyclic_partition(group))
 
 
 def _plain_critical_maximal(group):
-    return check_plain_critical_maximal(group, PowerGraph(group))
+    return check_plain_critical_maximal(PowerGraph(group), cyclic_partition(group))
+
+
+def _main_corollary(group):
+    return check_main_corollary(group, cyclic_partition(group))
 
 
 def test_partition_implies_compound_critical():
@@ -177,11 +181,11 @@ def test_plain_critical_maximal():
 
 
 def test_main_corollary():
-    v = check_main_corollary(make_metacyclic(5, 2, 2, 2, 7))
+    v = _main_corollary(make_metacyclic(5, 2, 2, 2, 7))
     assert v.applicable and v.passed is True and "(5,2,2,2)" in v.detail
     r = exists_for(13, 2, 2, 2)
     assert r is not None
-    v = check_main_corollary(make_metacyclic(13, 2, 2, 2, r))
+    v = _main_corollary(make_metacyclic(13, 2, 2, 2, r))
     assert v.applicable and v.passed is True and "(13,2,2,2)" in v.detail
-    v = check_main_corollary(make_cyclic(6))
+    v = _main_corollary(make_cyclic(6))
     assert not v.applicable

@@ -257,6 +257,25 @@ def test_element_query_expands_only_its_class(monkeypatch):
     assert expanded == []
 
 
+def test_lazy_element_report_sizes_n_x_without_decoding(monkeypatch):
+    # is_maximal compares o(x) with the number of kept words of N[x]: on
+    # S:9 "(1 2)" the query decodes only its twin class and closure (7
+    # words), where decoding N[x] took 1,576 more
+    s9 = make_symmetric(9)
+    x = s9.parse_element("(1 2)")
+    decoded = []
+    index_of = s9.index_of
+    monkeypatch.setattr(s9, "index_of", lambda w: decoded.append(w) or index_of(w))
+    assert element_report(s9, x)["is_maximal"] is False
+    assert len(decoded) < 16
+    graph = PowerGraph(s9)
+    assert not graph.materialized
+    decoded.clear()
+    size = graph.closed_neighborhood_size(x)
+    assert decoded == []
+    assert size == len(graph.closed_neighborhood(x)) == len(decoded) == 1576
+
+
 def test_element_n_class_identity_is_star_set():
     for g in (S4, make_cyclic(6), Q8):
         pg_lazy = PowerGraph(g, materialize=False)
@@ -292,6 +311,7 @@ def test_lazy_matches_materialized_s7_cycle_types():
     for parts in integer_partitions(7):
         x = cycle_type_element(s7, parts)
         assert lazy.closed_neighborhood(x) == mat.closed_neighborhood(x), parts
+        assert lazy.closed_neighborhood_size(x) == mat.closed_neighborhood_size(x) == len(mat.closed_neighborhood(x))
         assert lazy.element_n_class(x) == mat.element_n_class(x), parts
         assert classify_element(lazy, x) == classify_element(mat, x), parts
         assert lazy.strict_overgroups(x) == mat.strict_overgroups(x), parts

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import weakref
@@ -5,7 +6,9 @@ import weakref
 import pytest
 
 from powercrit import CyclicPoset, MetacyclicParams, PowerGraph, census, make_cyclic, make_dihedral
-from powercrit import verify
+from powercrit import partitions, verify
+from powercrit.groupspec import parse_group_spec
+from powercrit.partitions import PartitionResult, cyclic_partition
 from powercrit.verify import (
     SUITE_NAMES,
     SuiteResult,
@@ -223,3 +226,51 @@ def test_all_suites_build_no_graph_for_walked_census_tuples(monkeypatch):
     assert all(res.passed for res in results)
     assert len(census(120, all_r=True)) == 76 and len(builtin_family(120)) == 266
     assert len(builds) == 266 + 2 == 268
+
+
+def _pairwise_partition(group, components) -> bool:
+    """The pairwise scan the suite's count replaced: the components meet
+    pairwise in the identity and together cover the group."""
+    members = [group.members(c.generator) for c in components]
+    pairwise = all(a & b == {group.identity} for a, b in itertools.combinations(members, 2))
+    return pairwise and frozenset().union(*members) == frozenset(range(group.order))
+
+
+def test_partitions_walk_derives_one_partition_per_group(monkeypatch):
+    # the suite and its three theorem harnesses read one derivation per
+    # group of order >= 2; each partition found also passes the pairwise
+    # scan, and the suite's count accepted every one of them
+    found = []
+
+    def recording(group):
+        found.append((group.descriptor, cyclic_partition(group)))
+        return found[-1][1]
+
+    for module in (verify, partitions):
+        monkeypatch.setattr(module, "cyclic_partition", recording)
+    (res,) = run_suites(["partitions"], 300)
+    monkeypatch.undo()
+    assert res.passed, res.failures[:3]
+    family = builtin_family(300)
+    assert [d for d, _ in found] == [g.descriptor for g in family if g.order >= 2]
+    assert len(found) == 408 and len(family) == 409
+    for group, (_, part) in zip(family[1:], found):
+        if part.is_partition:
+            assert _pairwise_partition(group, part.components), group.descriptor
+
+
+@pytest.mark.parametrize("spec", ["D:15", "S:4", "M:5,2,2,2,7"])
+def test_partition_count_rejects_an_overlap_and_a_gap(monkeypatch, spec):
+    # a repeated component shares its non-identity elements and keeps the
+    # sum of |M| - 1 at |G| - 1; a dropped one leaves elements uncovered
+    group = parse_group_spec(spec)
+    comps = cyclic_partition(group).components
+    i, j = next((i, j) for i, j in itertools.combinations(range(len(comps)), 2) if comps[i].order == comps[j].order)
+    overlap = comps[:j] + (comps[i],) + comps[j + 1 :]
+    assert sum(c.order - 1 for c in overlap) == group.order - 1
+    for mutant in (overlap, comps[:-1]):
+        assert not _pairwise_partition(group, mutant)
+        monkeypatch.setattr(verify, "cyclic_partition", lambda g: PartitionResult(mutant, None))
+        res = SuiteResult("partitions")
+        verify._check_partitions(res, PowerGraph(group))
+        assert f"{group.descriptor}: reported cyclic partition is not a partition" in res.failures
