@@ -22,7 +22,9 @@ plain indices where indices are already cheap) through the ``word_*``
 methods; the index API is what the materialized analyses use.  Elements
 adjacent in the power graph commute, so per-element queries walk
 :meth:`Group.centralizer_words`, which the permutation and metacyclic
-backends enumerate directly instead of scanning the whole group.
+backends enumerate directly instead of scanning the whole group, each
+word with its order; :meth:`Group.centralizer_order` counts the walk
+without taking it.
 
 At or below the materialization threshold every group answers its
 cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
@@ -40,6 +42,7 @@ import math
 import os
 import random
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator
@@ -248,10 +251,14 @@ class Group(ABC):
         hi = self.order if hi is None else hi
         return ((i, i) for i in range(lo, hi))
 
-    def centralizer_words(self, w) -> Iterable:
-        """The words of a set containing the centralizer C(w); by default
-        every word of the group."""
-        return (v for _, v in self.scan())
+    def centralizer_words(self, w) -> Iterator[tuple]:
+        """(word, order) for each word of a set containing the centralizer
+        C(w); by default every word of the group."""
+        return ((v, self.word_order(v)) for _, v in self.scan())
+
+    def centralizer_order(self, w) -> int:
+        """The number of words :meth:`centralizer_words` walks for w."""
+        return self.order
 
 
 # ---------------------------------------------------------------------------
@@ -460,38 +467,45 @@ class PermutationGroup(Group):
         ranked = enumerate(itertools.permutations(range(self.degree)))
         return ranked if lo == 0 and hi is None else itertools.islice(ranked, lo, hi)
 
-    def centralizer_words(self, w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """Exactly C(w), the product over cycle lengths m of C_m wr S_{c_m}.
+    def centralizer_words(self, w: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Exactly C(w), the product over cycle lengths m of C_m wr S_{c_m},
+        each word with its order.
 
         A centralizing permutation carries point t of the m-cycle a of w
-        to point t + s_a of the m-cycle pi(a).  The m-cycles with m > 1
-        have at most 2^5 * 5! such arrangements, which are listed; the
-        fixed points, permuted freely, are streamed.
+        to point t + s_a of the m-cycle pi(a).  Its images on the moving
+        points (the head) run through the arrangements of each cycle
+        length in turn, as itertools.product orders them, each arrangement
+        built when the walk first reaches it; for each head the fixed
+        points (the tail) run through itertools.permutations.  A head's
+        order is read off its shifts, and each tail's order is worked out
+        on the first head and kept for the others, so a word's order is
+        the lcm of the two.
         """
         by_length: dict[int, list[list[int]]] = {}
         for cyc in self._cycles(w):
             by_length.setdefault(len(cyc), []).append(cyc)
         fixed = [c[0] for c in by_length.pop(1, [])]
-        arrangements = [
-            [
-                tuple(p for c, s in zip(perm, shifts) for p in c[s:] + c[:s])
-                for perm in itertools.permutations(cycs)
-                for shifts in itertools.product(range(m), repeat=len(cycs))
-            ]
-            for m, cycs in by_length.items()
-        ]
+        factors = [_arrangements(m, cycs) for m, cycs in by_length.items()]
+        heads = _product(factors[0], [_Kept(f) for f in factors[1:]]) if factors else [((), 1)]
+        zeros = (0,) * len(fixed)
+        tail_orders = (_wreath_order(pi, zeros, 1) for pi in itertools.permutations(range(len(fixed))))
+        if factors:  # w moves points, so the heads are several and replay the first one's tail orders
+            tail_orders = _Kept(tail_orders)
         # images come listed by source point: the moving cycles, then `fixed`
         slot = [0] * self.degree
         for pos, p in enumerate([p for cycs in by_length.values() for c in cycs for p in c] + fixed):
             slot[p] = pos
-        images = (
-            head + tail
-            for head in (sum(parts, ()) for parts in itertools.product(*arrangements))
-            for tail in itertools.permutations(fixed)
-        )
-        if slot == list(range(self.degree)):
-            return images
-        return (tuple(map(im.__getitem__, slot)) for im in images)
+        in_place = slot == list(range(self.degree))
+        lcm = math.lcm
+        for head, head_order in heads:
+            for tail, tail_order in zip(itertools.permutations(fixed), tail_orders):
+                im = head + tail
+                yield (im if in_place else tuple(map(im.__getitem__, slot))), lcm(head_order, tail_order)
+
+    def centralizer_order(self, w: tuple[int, ...]) -> int:
+        """|C(w)|: the product over cycle lengths m of m^c * c! for the c m-cycles of w."""
+        counts = Counter(map(len, self._cycles(w)))
+        return math.prod(m**c * factorial(c) for m, c in counts.items())
 
     # -- cycle notation ---------------------------------------------------------
 
@@ -548,6 +562,64 @@ class PermutationGroup(Group):
             for i, p in enumerate(cyc):
                 word[p - 1] = cyc[(i + 1) % len(cyc)] - 1
         return tuple(word)
+
+
+def _wreath_order(perm, shifts, m: int) -> int:
+    """The order of the arrangement carrying m-cycle a to m-cycle perm[a]
+    shifted by shifts[a]: a cycle of perm of length l whose shifts sum to
+    s makes cycles of length l * m / gcd(s, m).  With m = 1 it is the
+    order of perm."""
+    order, seen = 1, [False] * len(perm)
+    for a, b in enumerate(perm):
+        if not seen[a]:
+            seen[a] = True
+            length, s = 1, shifts[a]
+            while b != a:
+                seen[b] = True
+                s += shifts[b]
+                b = perm[b]
+                length += 1
+            n = length * m // math.gcd(s, m)
+            order = order * n // math.gcd(order, n)
+    return order
+
+
+def _arrangements(m: int, cycs: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The elements of C_m wr S_c on the c m-cycles `cycs`, as images listed
+    by source point, each with its order."""
+    c = len(cycs)
+    for perm in itertools.permutations(range(c)):
+        for shifts in itertools.product(range(m), repeat=c):
+            images = tuple(p for a, s in zip(perm, shifts) for p in cycs[a][s:] + cycs[a][:s])
+            yield images, _wreath_order(perm, shifts, m)
+
+
+class _Kept:
+    """An iterable read from `source` on its first round and replayed from
+    memory on later rounds."""
+
+    __slots__ = ("source", "items")
+
+    def __init__(self, source: Iterator):
+        self.source, self.items = source, []
+
+    def __iter__(self):
+        yield from self.items
+        for item in self.source:
+            self.items.append(item)
+            yield item
+
+
+def _product(first: Iterable, rest: list[_Kept]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """itertools.product over (images, order) factors, joining the images
+    and taking the lcm of the orders.  Each factor is read only as far as
+    the walk reaches; the later ones replay what their first round read."""
+    for images, order in first:
+        if not rest:
+            yield images, order
+            continue
+        for tail, tail_order in _product(rest[0], rest[1:]):
+            yield images + tail, math.lcm(order, tail_order)
 
 
 def make_symmetric(k: int) -> PermutationGroup:
@@ -624,8 +696,9 @@ class MetacyclicGroup(Group):
                 s, ck = (s + ck) % pa, ck * c % pa
         return i * s % pa * self.qb + j * k % self.qb
 
-    def centralizer_words(self, w: int) -> Iterator[int]:
-        """Exactly C(w), solving the commuting condition one j' at a time.
+    def centralizer_words(self, w: int) -> Iterator[tuple[int, int]]:
+        """Exactly C(w), each word with its order, solving the commuting
+        condition one j' at a time.
 
         (i', j') commutes with (i, j) iff i (1 - r^-j') = i' (1 - r^-j)
         (mod p^a): a linear congruence in i' with gcd(1 - r^-j, p^a)
@@ -648,7 +721,16 @@ class MetacyclicGroup(Group):
                 continue
             i0 = rhs // g * inv % step
             for i2 in range(i0, pa, step):
-                yield i2 * qb + j2
+                v = i2 * qb + j2
+                yield v, self.word_order(v)
+
+    def centralizer_order(self, w: int) -> int:
+        """|C(w)|: gcd(1 - r^-j, p^a) solutions i' for each j' that has any,
+        and whether j' has any depends on j' mod ord(r) only."""
+        i, j = divmod(w, self.qb)
+        g = math.gcd((1 - self._act[j % self._k]) % self.pa, self.pa)
+        solvable = sum(1 for t in range(self._k) if i * (1 - self._act[t]) % g == 0)
+        return g * solvable * (self.qb // self._k)
 
     def is_cyclic(self) -> bool:
         # r >= 2 with r^(q^b) = 1 (mod p^a) forces a non-trivial action.
@@ -873,8 +955,7 @@ def is_maximal_element(group: Group, x: int) -> bool:
     if poset is not None:
         return poset.maximal[poset.sub_of[x]]
     fx = CyclicWord(group, group.word_of(x))
-    for w in group.centralizer_words(fx.word):
-        ow = group.word_order(w)
+    for w, ow in group.centralizer_words(fx.word):
         if ow > fx.order and fx.adjacent_or_equal(group, w, ow):
             return False
     return True

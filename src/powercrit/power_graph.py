@@ -18,17 +18,19 @@ Two operating modes:
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
   divisibility and then costs one set lookup, either the other element
   among the powers of x or its power lifted to order(x) among the
-  generators of x's cyclic subgroup.  The word list of N[x] is kept with
-  the graph, filed under every twin of x once the twin class is known,
-  so the closure of a twin class reads its common neighbourhood N[x]
-  from the memo instead of filtering or decoding it again.
+  generators of x's cyclic subgroup.  N[x] is kept with the graph as
+  (word, order) pairs, filed under every twin of x once the twin class
+  is known, so the closure of a twin class reads its common
+  neighbourhood N[x] and its words' orders from the memo instead of
+  filtering or decoding it again.
 
-Adjacent elements commute, so N[x], the twin class of x and the cyclic
-overgroups of x all lie inside the centralizer C(x).  Lazy queries pass
-over :meth:`~powercrit.groups.Group.centralizer_words` rather than the
-whole group: in S_11, C((1 2 3)(4 5 6 7 8)) has 90 elements out of
-39,916,800.  A backend without a centralizer enumeration falls back on
-one pass over the group.
+Adjacent elements commute, so N[x] and the cyclic overgroups of x lie
+inside the centralizer C(x), and a word separating x from a power c of
+x inside C(c).  Lazy queries pass over
+:meth:`~powercrit.groups.Group.centralizer_words`, which yields each word
+with its order, rather than the whole group: in S_11,
+C((1 2 3)(4 5 6 7 8)) has 90 elements out of 39,916,800.  A backend
+without a centralizer enumeration falls back on one pass over the group.
 
 ``PowerGraph`` keeps what cli, report, criticality, partitions and verify
 call, plus ``enhanced_adjacent``, the oracle of ``enhanced_rows``: no stable API.
@@ -110,8 +112,9 @@ class PowerGraph:
                 self._fixed_cache[x] = fx
         return fx
 
-    def _neighborhood_words(self, x: int) -> list:
-        """N[x] as the words of one lazy pass over C(x), kept with the graph."""
+    def _neighborhood(self, x: int) -> list[tuple]:
+        """N[x] as the (word, order) pairs of one lazy pass over C(x), kept
+        with the graph."""
         nb = self._neighborhoods.get(x)
         if nb is None:
             fx = self._fixed(x)
@@ -139,11 +142,11 @@ class PowerGraph:
         poset = self._poset
         if poset is not None:
             return poset.expand(poset.comp[poset.sub_of[x]])
-        return frozenset(map(self.group.index_of, self._neighborhood_words(x)))
+        return frozenset(self.group.index_of(w) for w, _ in self._neighborhood(x))
 
     def closed_neighborhood_size(self, x: int) -> int:
         """|N[x]|; lazily, the number of kept words, none decoded."""
-        return len(self.closed_neighborhood(x) if self._poset is not None else self._neighborhood_words(x))
+        return len(self.closed_neighborhood(x) if self._poset is not None else self._neighborhood(x))
 
     def closure(self, xs) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
@@ -172,15 +175,15 @@ class PowerGraph:
         )
         if pairwise:
             # xs lies in its own common neighbourhood, so the closure does too
-            common = self._neighborhood_words(min(xs))
+            common = self._neighborhood(min(xs))
             if any(self._neighborhoods.get(x) is not common for x in xs):
                 common = self._common(reps, common)
             return frozenset(map(g.index_of, self._universal(common)))
         common = self._common(reps, g.centralizer_words(reps[0].word))
         e = g.word_of(g.identity)
-        z0 = next((w for w in common if w != e), e)
-        hat = self._common(self._subgroup_reps(common), g.centralizer_words(z0))
-        return frozenset(map(g.index_of, hat))
+        z0 = next((w for w, _ in common if w != e), e)
+        hat = self._common(self._subgroup_reps(w for w, _ in common), g.centralizer_words(z0))
+        return frozenset(g.index_of(w) for w, _ in hat)
 
     def closure_mask(self, mask: int) -> int:
         """The closure of a node mask: the nodes comparable with every node
@@ -202,35 +205,30 @@ class PowerGraph:
         reps.sort(key=lambda f: -f.order)
         return reps
 
-    def _common(self, reps: list[CyclicWord], words) -> list:
-        """The words adjacent or equal to every fixed element in `reps`."""
+    def _common(self, reps: list[CyclicWord], pairs) -> list[tuple]:
+        """The (word, order) pairs adjacent or equal to every fixed element in `reps`."""
         g = self.group
-        out = []
-        for w in words:
-            ow = g.word_order(w)
-            if all(f.adjacent_or_equal(g, w, ow) for f in reps):
-                out.append(w)
-        return out
+        return [(w, ow) for w, ow in pairs if all(f.adjacent_or_equal(g, w, ow) for f in reps)]
 
-    def _universal(self, words: list) -> list:
-        """The words adjacent or equal to every word in `words`.
+    def _universal(self, pairs: list[tuple]) -> list:
+        """The words of the (word, order) pairs adjacent or equal to every
+        word among them.
 
         Adjacent elements have comparable orders, so a word whose order is
         incomparable with another word's is dropped untested; the rest are
         tested once per cyclic subgroup.
         """
         g = self.group
-        orders = [g.word_order(w) for w in words]
-        distinct = set(orders)
+        distinct = {o for _, o in pairs}
         verdicts: dict = {}
         out = []
-        for w, o in zip(words, orders):
+        for w, o in pairs:
             if any(o % d and d % o for d in distinct):
                 continue
             ok = verdicts.get(w)
             if ok is None:
                 f = CyclicWord(g, w)
-                ok = all(f.adjacent_or_equal(g, v, ov) for v, ov in zip(words, orders))
+                ok = all(f.adjacent_or_equal(g, v, ov) for v, ov in pairs)
                 verdicts.update(dict.fromkeys(f.gens, ok))
             if ok:
                 out.append(w)
@@ -293,37 +291,34 @@ class PowerGraph:
         identity is one iff N[x] is the whole group.  Any other twin needs
         every power of the larger of c and x adjacent to the smaller, which
         in a cyclic group forces o(c) and o(x) to be powers of one prime
-        p.  Those candidates are tested one per cyclic subgroup in a single
-        pass: an element separating c from x lies in C(x) or C(c), so in
-        C(x0) for x0 generating the least non-trivial subgroup of <x>.
-        Twins share N[x], so the kept N[x] is filed under each of them.
+        p, and the subgroups of a cyclic p-group form a chain.  A candidate
+        c above x has N[c] inside N[x], so its separators lie among the
+        kept words of N[x]; one per cyclic subgroup is tested there.  The
+        powers below x are left to :meth:`_twin_powers`.  Twins share N[x],
+        so the kept N[x] is filed under each of them.
         """
         if self._poset is not None:
             return self.twin_partition().class_containing(x)
         g = self.group
         if x == g.identity:
             return self.star_vertices()
-        nb = self._neighborhood_words(x)
+        nb = self._neighborhood(x)
         fx = self._fixed(x)
         twins = set(fx.gens)
         if len(nb) == g.order:
             twins.add(g.word_of(g.identity))
         pp = as_prime_power(fx.order)
         if pp is not None:
-            below = [CyclicWord(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
-            above = [
+            above = self._subgroup_reps(
                 w
-                for w in nb
-                if (ow := g.word_order(w)) > fx.order and (q := as_prime_power(ow)) is not None and q.p == pp.p
-            ]
-            live = below + self._subgroup_reps(above)
-            for w in g.centralizer_words((below[-1] if below else fx).word):
-                if not live:
-                    break
-                ow = g.word_order(w)
-                ax = fx.adjacent_or_equal(g, w, ow)
-                live = [f for f in live if f.adjacent_or_equal(g, w, ow) == ax]
-            for f in live:
+                for w, ow in nb
+                if ow > fx.order and (q := as_prime_power(ow)) is not None and q.p == pp.p
+            )
+            below = [CyclicWord(g, g.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
+            for f in above:
+                if all(f.adjacent_or_equal(g, w, ow) for w, ow in nb):
+                    twins |= f.gens
+            for f in below[: self._twin_powers(fx, below)]:
                 twins |= f.gens
         members = frozenset(map(g.index_of, twins))
         kept = self._neighborhoods
@@ -331,6 +326,37 @@ class PowerGraph:
             if t in kept or len(kept) < _CACHE_CAP:
                 kept[t] = nb
         return members
+
+    def _twin_powers(self, fx: CyclicWord, below: list[CyclicWord]) -> int:
+        """How many of the powers `below` of fx, x^p first and down the
+        chain of its subgroups, are twins of fx: they form a prefix.
+
+        In a cyclic p-group N[fx] lies in N[c], and N[c] in N[c'] for c'
+        below c.  So a power is a twin only if every power above it is, and
+        a word separating c from fx is one adjacent to c and not to fx,
+        which commutes with c.  Each live power c is tested over C(c), the
+        smallest centralizer first, until its first separator, and each word
+        also against the live powers below c: a word adjacent to the lowest
+        of them separates every power from the first one it is adjacent to
+        downward.  The centralizers grow down the chain, so one of the order
+        of the last walked in full is that one, and is not walked again.
+        """
+        g = self.group
+        live, walked = len(below), 0
+        for i, c in enumerate(below):
+            if i >= live:
+                break
+            size = g.centralizer_order(c.word)
+            if size == walked:
+                continue
+            for w, ow in g.centralizer_words(c.word):
+                if below[live - 1].adjacent_or_equal(g, w, ow) and not fx.adjacent_or_equal(g, w, ow):
+                    live = next(j for j in range(i, live) if below[j].adjacent_or_equal(g, w, ow))
+                    if live == i:
+                        break
+            else:
+                walked = size
+        return live
 
     def node_rows(self) -> list[int]:
         """N[x] as an n-bit row for each node, shared by its generators: the

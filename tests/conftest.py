@@ -8,12 +8,15 @@ production shortcuts (order divisibility, bitset rows, generator lifts).
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 
 import numpy as np
 
 from powercrit import CyclicSubgroup, Group
 from powercrit.errors import InternalConsistencyError
+from powercrit.groups import CyclicWord
+from powercrit.numtheory import as_prime_power
 from powercrit.report import analyze_group
 
 
@@ -263,6 +266,72 @@ def brute_centralizer(group: Group, x: int) -> frozenset[int]:
     """C(x) straight from the definition: every y with xy = yx."""
     table = product_table(group)
     return frozenset(np.flatnonzero(table[x] == table[:, x]).tolist())
+
+
+def eager_centralizer_words(group, w) -> list[tuple[int, ...]]:
+    """C(w) in S_k as the words the lazy walk must yield, in its order: the
+    arrangements of each cycle length listed whole, their product taken by
+    itertools.product, and the fixed points streamed behind each head."""
+    by_length: dict[int, list[list[int]]] = {}
+    for cyc in group._cycles(w):
+        by_length.setdefault(len(cyc), []).append(cyc)
+    fixed = [c[0] for c in by_length.pop(1, [])]
+    arrangements = [
+        [
+            tuple(p for c, s in zip(perm, shifts) for p in c[s:] + c[:s])
+            for perm in itertools.permutations(cycs)
+            for shifts in itertools.product(range(m), repeat=len(cycs))
+        ]
+        for m, cycs in by_length.items()
+    ]
+    slot = [0] * group.degree
+    for pos, p in enumerate([p for cycs in by_length.values() for c in cycs for p in c] + fixed):
+        slot[p] = pos
+    return [
+        tuple(map((head + tail).__getitem__, slot))
+        for head in (sum(parts, ()) for parts in itertools.product(*arrangements))
+        for tail in itertools.permutations(fixed)
+    ]
+
+
+def single_walk_twin_class(group, x: int) -> tuple[frozenset[int], int]:
+    """The twin class of x != 1 with every prime-power candidate separated
+    in one walk, and the number of centralizer words walked in all.
+
+    N[x] comes from one walk over C(x).  The candidates, the powers of x
+    below it and one generator per cyclic p-subgroup above it in N[x], are
+    then all tested on each word of C(x0), x0 generating the least
+    non-trivial subgroup of <x>, until none is left.
+    """
+    fx = CyclicWord(group, group.word_of(x))
+    walked = 0
+    nb = []
+    for w, ow in group.centralizer_words(fx.word):
+        walked += 1
+        if fx.adjacent_or_equal(group, w, ow):
+            nb.append((w, ow))
+    twins = set(fx.gens)
+    if len(nb) == group.order:
+        twins.add(group.word_of(group.identity))
+    pp = as_prime_power(fx.order)
+    if pp is not None:
+        live = [CyclicWord(group, group.word_pow(fx.word, pp.p**k)) for k in range(1, pp.k)]
+        x0 = live[-1] if live else fx
+        covered: set = set()
+        for w, ow in nb:
+            q = as_prime_power(ow)
+            if ow > fx.order and q is not None and q.p == pp.p and w not in covered:
+                live.append(CyclicWord(group, w))
+                covered |= live[-1].gens
+        for w, ow in group.centralizer_words(x0.word):
+            walked += 1
+            if not live:
+                break
+            ax = fx.adjacent_or_equal(group, w, ow)
+            live = [f for f in live if f.adjacent_or_equal(group, w, ow) == ax]
+        for f in live:
+            twins |= f.gens
+    return frozenset(map(group.index_of, twins)), walked
 
 
 def integer_partitions(n: int, largest: int | None = None):

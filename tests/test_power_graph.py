@@ -302,20 +302,30 @@ def test_lazy_adjacency_matches_brute_force():
             assert lazy.adjacent_or_equal(x, y) == brute_adjacent_or_equal(g, x, y)
 
 
-def test_lazy_matches_materialized_s7_cycle_types():
+def assert_lazy_matches_materialized_cycle_types(degree: int) -> None:
     # one element per cycle type; the lazy graph walks centralizers, the
-    # materialized one reads the poset of all 5040 elements
-    s7 = make_symmetric(7)
-    mat = PowerGraph(s7, materialize=True)
-    lazy = PowerGraph(s7, materialize=False)
-    for parts in integer_partitions(7):
-        x = cycle_type_element(s7, parts)
+    # materialized one reads the poset of all degree! elements
+    sk = make_symmetric(degree)
+    mat = PowerGraph(sk, materialize=True)
+    lazy = PowerGraph(sk, materialize=False)
+    for parts in integer_partitions(degree):
+        x = cycle_type_element(sk, parts)
         assert lazy.closed_neighborhood(x) == mat.closed_neighborhood(x), parts
         assert lazy.closed_neighborhood_size(x) == mat.closed_neighborhood_size(x) == len(mat.closed_neighborhood(x))
         assert lazy.element_n_class(x) == mat.element_n_class(x), parts
         assert classify_element(lazy, x) == classify_element(mat, x), parts
         assert lazy.strict_overgroups(x) == mat.strict_overgroups(x), parts
-        assert is_maximal_element(s7, x) == (not mat.strict_overgroups(x)), parts
+        assert is_maximal_element(sk, x) == (not mat.strict_overgroups(x)), parts
+
+
+def test_lazy_matches_materialized_s7_cycle_types():
+    assert_lazy_matches_materialized_cycle_types(7)
+
+
+def test_lazy_matches_materialized_s8_cycle_types():
+    # the twin candidates of S_8's 2-elements are separated in the
+    # centralizers of x's powers, up to C_2 wr S_4 of order 384
+    assert_lazy_matches_materialized_cycle_types(8)
 
 
 def test_element_report_maximality_matches_the_centralizer_walk(monkeypatch):
