@@ -474,29 +474,32 @@ class PermutationGroup(Group):
         A centralizing permutation carries point t of the m-cycle a of w
         to point t + s_a of the m-cycle pi(a).  Its images on the moving
         points (the head) run through the arrangements of each cycle
-        length in turn, as itertools.product orders them, each arrangement
-        built when the walk first reaches it; for each head the fixed
-        points (the tail) run through itertools.permutations.  A head's
-        order is read off its shifts, and each tail's order is worked out
-        on the first head and kept for the others, so a word's order is
-        the lcm of the two.
+        length in turn, as itertools.product orders them: each length's
+        arrangements are listed once and every head so far is extended by
+        each of them, so the heads are at most 2^5 * 5! in S_11.  For each
+        head the fixed points (the tail) run through
+        itertools.permutations.  A head's order is read off its shifts and
+        each tail's order is worked out once per walk, so a word's order
+        is the lcm of the two.
         """
         by_length: dict[int, list[list[int]]] = {}
         for cyc in self._cycles(w):
             by_length.setdefault(len(cyc), []).append(cyc)
         fixed = [c[0] for c in by_length.pop(1, [])]
-        factors = [_arrangements(m, cycs) for m, cycs in by_length.items()]
-        heads = _product(factors[0], [_Kept(f) for f in factors[1:]]) if factors else [((), 1)]
+        lcm = math.lcm
+        heads = [((), 1)]
+        for m, cycs in by_length.items():
+            factor = list(_arrangements(m, cycs))
+            heads = [(head + images, lcm(order, o)) for head, order in heads for images, o in factor]
         zeros = (0,) * len(fixed)
         tail_orders = (_wreath_order(pi, zeros, 1) for pi in itertools.permutations(range(len(fixed))))
-        if factors:  # w moves points, so the heads are several and replay the first one's tail orders
-            tail_orders = _Kept(tail_orders)
+        if len(heads) > 1:  # every head replays the same tail orders; C(1) streams its 11! once
+            tail_orders = list(tail_orders)
         # images come listed by source point: the moving cycles, then `fixed`
         slot = [0] * self.degree
         for pos, p in enumerate([p for cycs in by_length.values() for c in cycs for p in c] + fixed):
             slot[p] = pos
         in_place = slot == list(range(self.degree))
-        lcm = math.lcm
         for head, head_order in heads:
             for tail, tail_order in zip(itertools.permutations(fixed), tail_orders):
                 im = head + tail
@@ -592,34 +595,6 @@ def _arrangements(m: int, cycs: list[list[int]]) -> Iterator[tuple[tuple[int, ..
         for shifts in itertools.product(range(m), repeat=c):
             images = tuple(p for a, s in zip(perm, shifts) for p in cycs[a][s:] + cycs[a][:s])
             yield images, _wreath_order(perm, shifts, m)
-
-
-class _Kept:
-    """An iterable read from `source` on its first round and replayed from
-    memory on later rounds."""
-
-    __slots__ = ("source", "items")
-
-    def __init__(self, source: Iterator):
-        self.source, self.items = source, []
-
-    def __iter__(self):
-        yield from self.items
-        for item in self.source:
-            self.items.append(item)
-            yield item
-
-
-def _product(first: Iterable, rest: list[_Kept]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """itertools.product over (images, order) factors, joining the images
-    and taking the lcm of the orders.  Each factor is read only as far as
-    the walk reaches; the later ones replay what their first round read."""
-    for images, order in first:
-        if not rest:
-            yield images, order
-            continue
-        for tail, tail_order in _product(rest[0], rest[1:]):
-            yield images + tail, math.lcm(order, tail_order)
 
 
 def make_symmetric(k: int) -> PermutationGroup:

@@ -1,10 +1,11 @@
 """Exact elementary number theory on machine integers.
 
 Primality, factorization, Euler's totient, prime-power recognition and
-multiplicative orders modulo m.  Everything here is deterministic and
-exact.  Inputs in this project stay far below 2**32, where trial division
-is already fast; a deterministic Miller-Rabin witness set keeps is_prime
-correct for larger arguments anyway.
+multiplicative orders modulo m.  is_prime runs Miller-Rabin on the
+thirteen prime bases 2..41, which is exact below psi_13 =
+3317044064679887385961981, the least strong pseudoprime to all of them
+(Sorenson and Webster, Math. Comp. 86, 2017); above it, is_prime is a
+strong probable-prime test.  Everything else here is exact.
 """
 
 from __future__ import annotations
@@ -27,25 +28,18 @@ __all__ = [
 # (prime, exponent) pairs with primes strictly increasing.
 Factorization = list[tuple[int, int]]
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses, deterministic for all n < psi_13 (about 3.3 * 10**24).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """True iff n is prime."""
+    """True iff n is prime (below psi_13; a strong probable prime above it)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
-        return True
-    if n < 2**32:
-        i, r = 41, math.isqrt(n)
-        while i <= r:
-            if n % i == 0:
-                return False
-            i += 2
         return True
     return _miller_rabin(n)
 

@@ -23,6 +23,7 @@ from powercrit import (
     make_metacyclic,
     make_symmetric,
 )
+from powercrit import groups
 from powercrit.report import element_report
 
 
@@ -88,8 +89,8 @@ def test_default_centralizer_is_the_whole_group():
 
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_lazy_centralizer_walk_matches_the_eager_lists(degree):
-    # the arrangements are built as the walk reaches them, in the order
-    # the eager lists give, and each word comes with its order
+    # the heads are listed in the order the eager lists give, and each
+    # word comes with its order
     g = make_symmetric(degree)
     for parts in integer_partitions(degree):
         w = g.word_of(cycle_type_element(g, parts))
@@ -98,6 +99,27 @@ def test_lazy_centralizer_walk_matches_the_eager_lists(degree):
         assert [v for v, _ in pairs] == eager, parts
         assert [o for _, o in pairs] == list(map(g.word_order, eager)), parts
         assert len(pairs) == g.centralizer_order(w) == centralizer_order(parts), parts
+
+
+@pytest.mark.parametrize(
+    "degree,element,calls",
+    [(7, "(1 2)(3 4 5)", 2 + 3 + 2), (8, "(1 2)(3 4)(5 6 7)", 8 + 3 + 1), (11, "(1 2)(3 4)", 8 + factorial(7))],
+)
+def test_centralizer_walk_works_out_each_order_once(monkeypatch, degree, element, calls):
+    # one call per arrangement of each cycle length and one per fixed-point
+    # tail, however many heads replay the tails
+    g = make_symmetric(degree)
+    w = g.parse_word(element)
+    counted = []
+    order = groups._wreath_order
+
+    def spy(perm, shifts, m):
+        counted.append(m)
+        return order(perm, shifts, m)
+
+    monkeypatch.setattr(groups, "_wreath_order", spy)
+    assert sum(1 for _ in g.centralizer_words(w)) == g.centralizer_order(w)
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("degree", [8, 9, 10])

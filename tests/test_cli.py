@@ -183,6 +183,13 @@ def test_exit_code_invalid_params(capsys):
     assert code == 2 and "not prime" in err
 
 
+def test_exit_code_invalid_params_strong_pseudoprime(capsys):
+    # psi_12 passes Miller-Rabin on every prime base up to 37
+    p = 318665857834031151167461
+    code, out, err = run(capsys, "analyze", f"M:{p},1,2,1,{p - 1}", "--element", "(0,1)", "--json", "--stable")
+    assert code == 2 and out == "" and f"p = {p} is not prime" in err
+
+
 def test_exit_code_scale_error(capsys):
     code, _, err = run(capsys, "analyze", "S:8")
     assert code == 3 and "threshold" in err
@@ -409,6 +416,14 @@ GOLDEN = {
     ),
     ("analyze", "S:11", "--element", "(1 2 3)(4 5 6 7 8)", "--json", "--stable"): (
         "b8207215906f50adfc218c6444f7d81f01faa1d1fbf30a62549df9de35bdfb37"
+    ),
+    # walks with several heads and fixed points: the twin-power walk over
+    # C(x^2) of the 4-cycle has 8 heads times 7! tails
+    ("analyze", "S:11", "--element", "(1 2 3 4)", "--json", "--stable"): (
+        "f6789fcec7ce8c2c21833bfab566174669f824d4082892d11d2a9abc96e57fc0"
+    ),
+    ("analyze", "S:11", "--element", "(1 2)(3 4)", "--json", "--stable"): (
+        "11335af033a4ad79d02d3a914464d6a105409aaa61b9a9831f357c18b3115fbb"
     ),
     ("analyze", "M:17,2,2,4,38", "--element", "(1,0)", "--json", "--stable"): (
         "eb28f3e4d7977382e5573aca711d4f48bb1feb2e8746c85ff94b254388b8cc80"

@@ -98,9 +98,27 @@ def test_order_mod_p_divides_order_mod_prime_power():
                 assert multiplicative_order(r, m) % multiplicative_order(r, p) == 0
 
 
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the
+# twelve prime bases 2..37, and the least strong pseudoprimes to the bases
+# 2..p for smaller p (Sorenson and Webster, Math. Comp. 86, 2017)
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+
+
 @pytest.mark.parametrize(
     "n,expected",
-    [(2, True), (1, False), (0, False), (169, False), (2**31 - 1, True), (2**32 + 1, False), (4294967311, True)],
+    [(2, True), (1, False), (0, False), (169, False), (2**31 - 1, True), (2**32 + 1, False), (4294967311, True)]
+    + [(399165290221, True), (798330580441, True)]
+    + [(n, False) for n in STRONG_PSEUDOPRIMES],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
@@ -111,3 +129,7 @@ def test_is_prime(n, expected):
 def test_is_prime_matches_trial_division(n):
     naive = all(n % d for d in range(2, math.isqrt(n) + 1))
     assert is_prime(n) is naive
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(200_001) if is_prime(n)] == primes_upto(200_000)
