@@ -7,6 +7,7 @@ production shortcuts (order divisibility, bitset rows, generator lifts).
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 from collections import Counter
@@ -14,6 +15,7 @@ from collections import Counter
 import numpy as np
 
 from powercrit import CyclicSubgroup, Group
+from powercrit.cli import cmd_analyze, cmd_census, cmd_export, cmd_verify
 from powercrit.errors import InternalConsistencyError
 from powercrit.groups import CyclicWord
 from powercrit.numtheory import as_prime_power
@@ -477,3 +479,51 @@ def _fail(path, message: str):
         path, key = path
         steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
     raise InternalConsistencyError(f"payload at ${''.join(reversed(steps))}: {message}")
+
+
+# -- the argparse parser that cli.parse_args replaced, kept as its oracle ---------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="powercrit",
+        description="Power graphs of finite groups: twin classes, criticality, "
+        "cyclic partitions and the metacyclic Frobenius census.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="classify one group (or one element of it)")
+    p.add_argument("spec", help="group spec, e.g. 'D:15', 'M:5,2,2,2,7', 'C:2 x C:3'")
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering of the power graph")
+    p.add_argument("--element", metavar="DESC", help="single-element report (works at lazy scale)")
+    p.add_argument("--stable", action="store_true", help="drop timing for golden-file comparison")
+    # Lazy queries walk a centralizer instead of the whole group, so there
+    # is no scan left to spread over processes.  The flag is still accepted,
+    # and ignored, so that existing command lines keep working.
+    p.add_argument("--workers", type=int, default=0, help=argparse.SUPPRESS)
+    p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("census", help="enumerate metacyclic parameter tuples")
+    p.add_argument("--max-order", type=int, default=100)
+    p.add_argument("--verify-up-to", type=int, default=0,
+                   help="rebuild groups up to this order and compare graph criticality")
+    p.add_argument("--all-r", action="store_true", help="list every well-defined r, not just the least")
+    p.add_argument("--json", action="store_true", help="one JSON object per line")
+    p.set_defaults(func=cmd_census)
+
+    p = sub.add_parser("verify", help="run the property suites")
+    p.add_argument("--suite", choices=("closure", "criticality", "partitions", "theorems", "all"),
+                   default="all")
+    p.add_argument("--max-order", type=int, default=120,
+                   help="largest group order; the closure, criticality and partitions family "
+                   "stops at order 600 (C_n to n = 120, D_n to n = 60)")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("export", help="export a graph as DOT or JSON")
+    p.add_argument("spec")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--graph", choices=("power", "enhanced"), default="power")
+    p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    p.set_defaults(func=cmd_export)
+    return parser

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -84,8 +88,11 @@ def test_analyze_workers_flag_is_accepted_and_ignored(capsys):
     for workers in ("1", "4"):
         code, out, _ = run(capsys, *argv, "--workers", workers)
         assert code == 0 and out == plain
-    code, out, _ = run(capsys, "analyze", "--help")
-    assert "--workers" not in out
+    code, out, err = run(capsys, *argv, "--workers", "x")
+    assert (code, out) == (2, "") and "argument --workers: invalid int value: 'x'" in err
+    for help_argv in (["analyze", "--help"], ["analyze", "-h"], ["analyze", "--he"], ["--help"]):
+        code, out, _ = run(capsys, *help_argv)
+        assert code == 0 and "usage: powercrit" in out and "--workers" not in out
 
 
 def test_analyze_byte_identical_stable(capsys):
@@ -341,6 +348,32 @@ def test_census_verification_guard_spares_unverified_orders(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert max(l["order"] for l in lines) > 4096
     assert all((l["graph_is_critical"] is None) == (l["order"] > 200) for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [(["census", "--max-order", "3000", "--json"], 1), (["export", "D:500", "--format", "dot"], 1), (["--help"], 0)],
+    ids=["census", "export", "help"],
+)
+def test_closed_stdout_exits_2_without_a_traceback(argv, lines):
+    # census and export write more than a pipe holds, so they are still
+    # writing when the reader closes it after one line; the help is written
+    # to a pipe the reader closed while the interpreter was starting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powercrit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == ""  # no traceback, and no "Exception ignored" from the flush at exit
 
 
 def test_exit_code_usage(capsys):

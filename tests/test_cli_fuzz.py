@@ -51,7 +51,11 @@ CYCLES = st.lists(st.lists(st.integers(-1, 10).map(str), max_size=4), max_size=3
 PAIRS = st.builds("({},{})".format, numbers(st.integers(-1, 40)), numbers(st.integers(-1, 40)))
 ELEMENTS = st.one_of(CYCLES, PAIRS, st.integers(-2, 5000).map(str), st.text(max_size=12))
 
-FLAGS = st.lists(st.sampled_from(["--json", "--stable"]), max_size=2, unique=True)
+# Unique prefixes, a flag given a value, `--`, help and an unknown option
+# put the parser's edge cases under the contract as well.
+FLAGS = st.lists(
+    st.sampled_from(["--json", "--stable", "--js", "--st", "--json=1", "--", "-h", "-x"]), max_size=3, unique=True
+)
 
 # An S_11 transposition takes seconds (ROADMAP item 4), so element
 # queries are drawn on S:k with k <= 8 only.
