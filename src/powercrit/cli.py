@@ -1,11 +1,13 @@
 """Command-line surface: analyze, census, verify, export.
 
 COMMANDS is the one table of the commands, their options, defaults and
-help; parse_args reads a command line against it.  An option takes its
-value as the next token or after ``=`` (``--max-order=30``), and a long
-option may be shortened to any unique prefix (``--max 30 --js``).
-``powercrit --help`` lists the commands and ``powercrit <cmd> --help``
-the options of one.
+help.  parse_args reads a plain command line (exact command, the spec,
+long options with valid values) from the table itself, and hands every
+other line, help included, to an argparse parser built from the same
+table.  An option takes its value as the next token or after ``=``
+(``--max-order=30``), and a long option may be shortened to any unique
+prefix (``--max 30 --js``).  ``powercrit --help`` lists the commands and
+``powercrit <cmd> --help`` the options of one.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage/parse error, 3 scale/resource error.  Output that cannot be
@@ -17,16 +19,17 @@ byte-identical; --stable additionally drops the timing field.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import os
-import re
 import sys
 import time
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
 from .groupspec import parse_group_spec
@@ -265,8 +268,6 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
         raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-
-
 # -- the command line ------------------------------------------------------------
 
 # Each command: (handler, help line, help of its group-spec positional or
@@ -327,184 +328,123 @@ COMMANDS = {
     ),
 }
 
-_HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's test, kept exactly
-
 
 def parse_args(argv=None) -> SimpleNamespace:
-    """Read `argv` (default ``sys.argv[1:]``) against COMMANDS, accepting
-    and rejecting what the argparse parser it replaced did, except that
-    ``--name=--`` gives the option the text ``--`` (argparse gave it []).
+    """Read `argv` (default ``sys.argv[1:]``) against COMMANDS.
 
-    The first token that is not an option names the command, exactly.
-    Options and the spec then come in any order: ``--name value`` and
-    ``--name=value`` both work, the last repeat wins, and a long option may
-    be shortened to any unique prefix.  A token starting with ``-`` is an
-    option unless it is ``-``, a negative number or holds a space, and
-    ``--`` ends the options.  ``-h``/``--help`` prints help on stdout and
-    raises SystemExit(0); any other error prints the usage line and the
-    error on stderr and raises SystemExit(2).
+    A plain line is read from the table, without importing argparse: the
+    exact command name, the spec as the one token not starting with ``-``,
+    and long options named in full or by a unique prefix, each followed by
+    a valid value as the next token (not starting with ``-``) or after
+    ``=``.  Every other line, ``-h`` and ``--`` included, is read by an
+    argparse parser built from COMMANDS, which prints help and raises
+    SystemExit(0), or prints a usage error and raises SystemExit(2).
+    ``--name=--`` gives the option the text ``--`` (argparse gave it []).
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    unknown = []
-    for i, token in enumerate(argv):
-        read = None if token == "--" else _read_option(token, _HELP, None)
-        if read is None:
-            break
-        if read[0] is None:
-            unknown.append(token)
-        else:
-            _help(None, *read)
-    else:
-        _fail(None, "the following arguments are required: command")
-    if argv[i] not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail(None, f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
-    args = _parse_command(argv[i], argv[i + 1 :])
-    if unknown:
-        _fail(None, "unrecognized arguments: " + " ".join(unknown))
-    return args
+    args = _read_plain(argv)
+    return _read_with_argparse(argv) if args is None else args
 
 
-def _parse_command(command: str, argv: list[str]) -> SimpleNamespace:
-    _, _, spec_help, options = COMMANDS[command]
-    attrs = {"--" + name.replace("_", "-"): name for name in options}
-    names = (*_HELP, *attrs)
-    # every token before `--` is read before any is acted on, so an
-    # ambiguous prefix is an error even after -h, as it was with argparse
-    end = argv.index("--") if "--" in argv else len(argv)
-    reads = [_read_option(token, names, command) for token in argv[:end]]
-    args = SimpleNamespace(command=command)
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """`argv` read from COMMANDS, or None when it is not a plain line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, spec_help, options = COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0])
     for name, (default, _) in options.items():
         setattr(args, name, default[0] if type(default) is tuple else default)
-    spec, extras, i = None, [], 0
-    while i < end:
-        token, read = argv[i], reads[i]
-        i += 1
-        if read is None:
-            if spec_help and spec is None:
-                spec = i - 1
-            else:
-                extras.append(token)
+    flags = {"--help": None, **{"--" + name.replace("_", "-"): name for name in options}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if spec_help is None or hasattr(args, "spec"):
+                return None
+            args.spec = token
             continue
-        option, value = read
-        if option is None:
-            extras.append(token)
-            continue
-        if option in _HELP:
-            _help(command, option, value)
-        default = options[attrs[option]][0]
+        if token[:2] != "--":
+            return None
+        flag, eq, value = token.partition("=")
+        hits = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
+        if len(hits) != 1 or flags[hits[0]] is None:
+            return None
+        name = flags[hits[0]]
+        default = options[name][0]
         if type(default) is bool:
-            if value is not None:
-                _fail(command, f"argument {option}: ignored explicit argument {value!r}")
-            value = True
-        elif value is None:
-            if i == end or reads[i] is not None:
-                _fail(command, f"argument {option}: expected one argument")
-            value, i = argv[i], i + 1
-        if type(default) is int:
-            try:
-                value = int(value)
-            except ValueError:
-                _fail(command, f"argument {option}: invalid int value: {value!r}")
-        elif type(default) is tuple and value not in default:
-            choices = ", ".join(map(repr, default))
-            _fail(command, f"argument {option}: invalid choice: {value!r} (choose from {choices})")
-        setattr(args, attrs[option], value)
-    if end < len(argv):
-        # `--` is dropped when it comes just before the spec or just after it
-        rest = argv[end + 1 :]
-        if spec_help and spec is None and rest:
-            spec, extras = end + 1, extras + rest[1:]
-        elif spec == end - 1:
-            extras += rest
+            value = None if eq else True
+        elif eq:
+            value = _checked(default, value)
         else:
-            extras += argv[end:]
-    if spec_help:
-        if spec is None:
-            _fail(command, "the following arguments are required: spec")
-        args.spec = argv[spec]
-    if extras:
-        _fail(command, "unrecognized arguments: " + " ".join(extras))
-    return args
+            value = next(tokens, "-")
+            value = None if value[:1] == "-" else _checked(default, value)
+        if value is None:
+            return None
+        setattr(args, name, value)
+    return args if spec_help is None or hasattr(args, "spec") else None
 
 
-def _read_option(token: str, names: tuple[str, ...], command: str | None):
-    """How argparse read one token before ``--``: None for a positional,
-    else (the option it names, None when it names none; the text after its
-    ``=``, or for ``-h`` after the ``h``, None when there is none)."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return name, value
-    if token[1] == "-":
-        hits = [n for n in names if n.startswith(name)]
-        value = value if eq else None
-    else:  # one dash: only -h, which takes the rest of the token as its value
-        hits, value = (["-h"], token[2:]) if token[1] == "h" else ([], None)
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], value
-    if _NEGATIVE(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help(command: str | None, option: str, value: str | None) -> NoReturn:
-    """Print the help of `command` (of powercrit itself for None) and exit 0."""
-    # argparse read "-hh" and "-h=h" as -h given twice
-    if value is not None and (option == "--help" or not value or value.strip("h")):
-        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-    if command is None:
-        rows = [(name, line) for name, (_, line, _, _) in COMMANDS.items()]
-        about = (
-            "Power graphs of finite groups: twin classes, criticality, cyclic partitions\n"
-            "and the metacyclic Frobenius census.  Run 'powercrit COMMAND --help' for the\n"
-            "options of a command."
-        )
-    else:
-        _, about, spec_help, options = COMMANDS[command]
-        rows = [("spec", spec_help)] if spec_help else []
-        rows += [(_syntax(name, default), text) for name, (default, text) in options.items() if text]
-    rows.append(("-h, --help", "show this help message and exit"))
-    lines = [_usage(command), "", about, ""]
-    for left, text in rows:  # help text from column 24, below a longer option
-        lines += [f"  {left:<22}{text}"] if len(left) < 21 else [f"  {left}", " " * 24 + text]
-    sys.stdout.write("\n".join(lines) + "\n")
-    sys.stdout.flush()
-    raise SystemExit(EXIT_OK)
-
-
-def _fail(command: str | None, message: str) -> NoReturn:
-    prog = "powercrit" if command is None else f"powercrit {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: powercrit [-h] {" + ",".join(COMMANDS) + "} ..."
-    _, _, spec_help, options = COMMANDS[command]
-    words = [f"[{_syntax(name, default)}]" for name, (default, text) in options.items() if text]
-    return " ".join(["usage: powercrit", command, "[-h]", *words, *(["spec"] if spec_help else [])])
-
-
-def _syntax(name: str, default) -> str:
-    option = "--" + name.replace("_", "-")
-    if type(default) is bool:
-        return option
+def _checked(default, value: str):
+    """`value` as an option with `default` takes it, or None when invalid."""
     if type(default) is int:
-        return option + " N"
-    if type(default) is tuple:
-        return option + " {" + ",".join(default) + "}"
-    return f"{option} {name.upper()}"
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    return None if type(default) is tuple and value not in default else value
+
+
+def _read_with_argparse(argv: list[str]) -> SimpleNamespace:
+    import argparse
+
+    # wide enough that a usage line is never wrapped
+    wide = functools.partial(argparse.HelpFormatter, width=1 << 16)
+    parser = argparse.ArgumentParser(
+        prog="powercrit",
+        description="Power graphs of finite groups: twin classes, criticality, cyclic partitions and the "
+        "metacyclic Frobenius census.  Run 'powercrit COMMAND --help' for the options of a command.",
+        formatter_class=wide,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, line, spec_help, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=line, description=line, formatter_class=wide)
+        if spec_help:
+            sub.add_argument("spec", help=spec_help)
+        for name, (default, text) in options.items():
+            flag, text = "--" + name.replace("_", "-"), argparse.SUPPRESS if text is None else text
+            if type(default) is bool:
+                sub.add_argument(flag, action="store_true", help=text)
+            elif type(default) is tuple:
+                sub.add_argument(flag, choices=default, default=default[0], help=text)
+            else:
+                sub.add_argument(flag, type=int if type(default) is int else None, default=default, help=text)
+    # argparse writes help into a closed pipe without an error; the help is
+    # collected here and written after, so that the error reaches main
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            try:
+                args, extras = parser.parse_known_args(argv, SimpleNamespace())
+            except IndexError:  # `-h=`, in an argparse without its explicit_arg != '' check
+                parser.error("argument -h/--help: ignored explicit argument ''")
+    finally:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    sub = commands.choices[args.command]
+    for name, (default, _) in COMMANDS[args.command][3].items():
+        if getattr(args, name) == []:  # argparse read `--name=--` as []
+            value = _checked(default, "--")
+            if value is None:  # the usage line above the error lists the choices
+                why = "int value" if type(default) is int else "choice"
+                sub.error(f"argument --{name.replace('_', '-')}: invalid {why}: '--'")
+            setattr(args, name, value)
+    if extras:  # parse_args' own check, made after the `--name=--` one
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        return EXIT_USAGE
     try:
         args = parse_args(argv)
         code = COMMANDS[args.command][0](args)
@@ -517,7 +457,7 @@ def main(argv=None) -> int:
         # flush at exit has somewhere to put what is still buffered.
         try:
             fd = sys.stdout.fileno()
-        except (AttributeError, OSError):  # None, or a stream with no descriptor
+        except OSError:  # a stream with no descriptor
             pass
         else:
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -350,17 +350,31 @@ def test_census_verification_guard_spares_unverified_orders(capsys):
     assert all((l["graph_is_critical"] is None) == (l["order"] > 200) for l in lines)
 
 
+def src_env(**extra) -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH,
+    and `extra` set, where a None value removes the variable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(extra)
+    return {name: value for name, value in env.items() if value is not None}
+
+
 @pytest.mark.parametrize(
-    "argv,lines",
-    [(["census", "--max-order", "3000", "--json"], 1), (["export", "D:500", "--format", "dot"], 1), (["--help"], 0)],
-    ids=["census", "export", "help"],
+    "argv,lines,unbuffered",
+    [
+        (["census", "--max-order", "3000", "--json"], 1, None),
+        (["export", "D:500", "--format", "dot"], 1, None),
+        (["--help"], 0, None),
+        # argparse drops a failed write, which unbuffered stdout shows at once
+        (["--help"], 0, "1"),
+    ],
+    ids=["census", "export", "help", "help unbuffered"],
 )
-def test_closed_stdout_exits_2_without_a_traceback(argv, lines):
+def test_closed_stdout_exits_2_without_a_traceback(argv, lines, unbuffered):
     # census and export write more than a pipe holds, so they are still
     # writing when the reader closes it after one line; the help is written
     # to a pipe the reader closed while the interpreter was starting
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env(PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-m", "powercrit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
@@ -374,6 +388,18 @@ def test_closed_stdout_exits_2_without_a_traceback(argv, lines):
         proc.kill()
         proc.wait()
     assert err == ""  # no traceback, and no "Exception ignored" from the flush at exit
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "D:3", "--json"], ["census", "--max-order", "10"], ["--help"]], ids=" ".join
+)
+def test_stdout_closed_at_start_exits_2_without_a_traceback(argv):
+    # `>&-` starts the interpreter without a descriptor 1, so sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "powercrit", *argv],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 def test_exit_code_usage(capsys):
@@ -477,6 +503,29 @@ def test_payload_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_plain_command_lines_do_not_import_argparse():
+    # the GOLDEN lines and the four command shapes of bench/run.py are read
+    # from the table; argparse would add milliseconds to each bench call
+    lines = [*GOLDEN, *(
+        ["census", "--max-order", "300", "--verify-up-to", "300", "--all-r", "--json"],
+        ["analyze", "C:4096", "--json", "--stable"],
+        ["analyze", "S:8", "--element", "(1 5 2)(3 8 4 7 6)", "--json", "--stable", "--workers", "1"],
+        ["verify", "--suite", "all", "--max-order", "300"],
+    )]
+    probe = (
+        "import json, sys\n"
+        "from powercrit.cli import parse_args\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    parse_args(argv)\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], input=json.dumps(lines), env=src_env(),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def oracle_dump(doc) -> str:

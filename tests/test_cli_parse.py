@@ -141,6 +141,10 @@ def test_parse_args_matches_argparse_on_generated_lines(first, tokens):
         (["export", "D:3", "--graph=--"], "argument --graph: invalid choice: '--'"),
         (["analyze", "D:3", "--workers=--"], "argument --workers: invalid int value: '--'"),
         (["analyze", "D:3", "--element=--"], "error: "),
+        # lines with `--`, which argparse reads
+        (["analyze", "--element=--", "--", "D:3"], "error: element descriptor '--'"),
+        (["census", "--max-order=--", "--"], "invalid int value: '--'"),
+        (["verify", "--suite=--", "--"], "invalid choice: '--'"),
     ],
 )
 def test_an_option_value_of_two_dashes_is_that_text(capsys, argv, message):
