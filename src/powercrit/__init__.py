@@ -17,7 +17,6 @@ from .criticality import (
     classify_element,
     classify_group,
     dihedral_plain_critical_profile,
-    noncyclic_overgroup_witnesses,
     plain_critical_by_overgroups,
 )
 from .errors import (
@@ -34,7 +33,6 @@ from .frobenius import (
     ParamFlags,
     census,
     eppo_metacyclic_equivalence_check,
-    exists_for,
     recognize_critical_structure,
     validate,
 )
@@ -45,7 +43,6 @@ from .groups import (
     exponent_and_pi,
     generated_subgroup,
     is_maximal_element,
-    is_power_of,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -54,7 +51,6 @@ from .groups import (
     make_symmetric,
     max_materialize,
     maximal_cyclic_subgroups,
-    spot_check_axioms,
 )
 from .groupspec import parse_group_spec
 from .numtheory import (

@@ -120,6 +120,8 @@ def _layout(newline: str) -> tuple[str, str, str, str, str, str]:
 
 
 def cmd_analyze(args) -> int:
+    if args.dot and args.element is not None:
+        raise ValueError("--dot draws the whole power graph; it cannot be combined with --element")
     group = parse_group_spec(args.spec)
     started = time.perf_counter()
     if args.element is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InternalConsistencyError
-from .groups import Group, generated_subgroup_words
+from .groups import Group
 from .numtheory import as_prime_power, euler_phi
 from .power_graph import PowerGraph
 
@@ -28,7 +28,6 @@ __all__ = [
     "classify_element",
     "classify_group",
     "dihedral_plain_critical_profile",
-    "noncyclic_overgroup_witnesses",
     "nontrivial_records",
     "plain_critical_by_overgroups",
 ]
@@ -228,38 +227,6 @@ def plain_critical_by_overgroups(graph: PowerGraph, x: int) -> bool | None:
         if all(graph.adjacent_or_equal(y, z) for z in over):
             return False
     return True
-
-
-def noncyclic_overgroup_witnesses(graph: PowerGraph, x: int) -> tuple[int, int]:
-    """For a non-maximal plain critical x, two strict overgroup generators
-    with a non-cyclic join.
-
-    Built by the chain construction: pick y over x, find z over x outside
-    N[y]; if their join is cyclic, replace y by a generator of the join
-    (strictly higher) and repeat.  The chain is strictly increasing, so it
-    terminates, and the returned pair is verified non-cyclic.  Raises
-    ValueError when x is not plain critical or is maximal.
-    """
-    g = graph.group
-    over = sorted(graph.strict_overgroups(x))
-    if not over:
-        raise ValueError(
-            f"{g.element_label(x)} is maximal in {g.descriptor}; precondition violated"
-        )
-    if plain_critical_by_overgroups(graph, x) is not True:
-        raise ValueError(
-            f"{g.element_label(x)} is not plain critical in {g.descriptor}; precondition violated"
-        )
-    y = over[0]
-    for _ in range(g.order):
-        z = next(z for z in over if not graph.adjacent_or_equal(y, z))
-        sub = generated_subgroup_words(g, [g.word_of(y), g.word_of(z)])
-        size = len(sub)
-        gen_words = [w for w in sub if g.word_order(w) == size]
-        if not gen_words:
-            return y, z
-        y = min(g.index_of(w) for w in gen_words)
-    raise InternalConsistencyError("overgroup chain failed to terminate")
 
 
 def dihedral_plain_critical_profile(n: int) -> bool:

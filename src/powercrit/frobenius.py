@@ -30,7 +30,7 @@ from .groups import (
     max_materialize,
     metacyclic_violation,
 )
-from .numtheory import factorize, is_prime, multiplicative_order, primes_upto
+from .numtheory import factorize, primes_upto
 from .partitions import Verdict
 from .power_graph import PowerGraph
 
@@ -43,7 +43,6 @@ __all__ = [
     "census_tuples",
     "check_census_bounds",
     "eppo_metacyclic_equivalence_check",
-    "exists_for",
     "recognize_critical_structure",
     "validate",
 ]
@@ -88,30 +87,6 @@ def validate(params: MetacyclicParams) -> ParamFlags:
     eppo = pow(r, qb, pa) == 1 and pow(r, qb // q, pa) != 1
     frob = pow(r, qb, p) == 1 and pow(r, qb // q, p) != 1
     return ParamFlags(True, eppo, frob, frob and a >= 2 and b >= 2)
-
-
-def exists_for(p: int, a: int, q: int, b: int) -> int | None:
-    """Least r making (p, a, q, b, r) a Frobenius tuple, if one exists.
-
-    Existence is equivalent to q^b dividing p - 1.  The search checks
-    well-definedness mod p^a, not just the order mod p: an order-q^b
-    residue mod p may fail to lift, in which case the next candidate is
-    tried (the unit group mod p^a is cyclic, so some r always works).
-    """
-    if not is_prime(p) or not is_prime(q):
-        raise ValueError(f"p = {p} and q = {q} must be prime")
-    if p == q:
-        raise ValueError(f"p and q must be distinct, both are {p}")
-    if a < 1 or b < 1:
-        raise ValueError(f"exponents must be >= 1, got a={a}, b={b}")
-    qb = q**b
-    if (p - 1) % qb:
-        return None
-    pa = p**a
-    for r in range(2, pa):
-        if r % p and pow(r, qb, pa) == 1 and multiplicative_order(r, p) == qb:
-            return r
-    return None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import random
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -60,9 +59,9 @@ __all__ = [
     "MetacyclicGroup",
     "RotationReflectionGroup",
     "exponent_and_pi",
+    "generated_subgroup",
     "generated_subgroup_words",
     "is_maximal_element",
-    "is_power_of",
     "make_cyclic",
     "make_dihedral",
     "make_direct_product",
@@ -72,7 +71,6 @@ __all__ = [
     "max_materialize",
     "maximal_cyclic_subgroups",
     "metacyclic_violation",
-    "spot_check_axioms",
 ]
 
 # Bounds the cyclic-subgroup poset: lists over the n elements and one
@@ -131,9 +129,6 @@ class Group(ABC):
     @abstractmethod
     def inv(self, a: int) -> int:
         """Inverse of an element, by index."""
-
-    def power(self, a: int, k: int) -> int:
-        return self.index_of(self.word_pow(self.word_of(a), k))
 
     def cyclic_poset(self) -> CyclicPoset:
         """The poset of cyclic subgroups, built on first call and kept."""
@@ -894,20 +889,6 @@ class CyclicWord:
         return ov % self.order == 0 and group.word_pow(v, ov // self.order) in self.gens
 
 
-def is_power_of(group: Group, g: int, h: int) -> bool:
-    """True iff g lies in the cyclic subgroup generated by h.
-
-    Short-circuits on order divisibility before touching any powers.
-    """
-    if g == h or g == group.identity:
-        return True
-    og = group.element_order(g)
-    oh = group.element_order(h)
-    if oh % og:
-        return False
-    return g in group.members(h)
-
-
 def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
     """All cyclic subgroups maximal under inclusion: the maxima of the poset.
 
@@ -990,26 +971,3 @@ def generated_subgroup(group: Group, generators: Iterable[int]) -> frozenset[int
     """Closure of the given element indices under multiplication."""
     sub = generated_subgroup_words(group, [group.word_of(i) for i in generators])
     return frozenset(group.index_of(w) for w in sub)
-
-
-def spot_check_axioms(group: Group, triples: int = 1000, seed: int = 0) -> None:
-    """Identity and inverse laws on all elements; associativity sampled.
-
-    Associativity is exhaustive for order <= 64, else checked on `triples`
-    seeded random triples.  Raises AssertionError on any violation.
-    """
-    n = group.order
-    e = group.identity
-    for g in range(n):
-        assert group.mul(e, g) == g == group.mul(g, e), f"identity law fails at {g}"
-        gi = group.inv(g)
-        assert group.mul(g, gi) == e == group.mul(gi, g), f"inverse law fails at {g}"
-    if n <= 64:
-        triple_iter: Iterable[tuple[int, int, int]] = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(seed)
-        triple_iter = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(triples))
-    for a, b, c in triple_iter:
-        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c)), (
-            f"associativity fails at ({a}, {b}, {c})"
-        )

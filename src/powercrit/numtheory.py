@@ -118,9 +118,6 @@ class PrimePower:
     def is_proper(self) -> bool:
         return self.k >= 1
 
-    def value(self) -> int:
-        return 1 if self.p is None else self.p**self.k
-
 
 _ONE = PrimePower(None, 0)
 

@@ -33,7 +33,7 @@ C((1 2 3)(4 5 6 7 8)) has 90 elements out of 39,916,800.  A backend
 without a centralizer enumeration falls back on one pass over the group.
 
 ``PowerGraph`` keeps what cli, report, criticality, partitions and verify
-call, plus ``enhanced_adjacent``, the oracle of ``enhanced_rows``: no stable API.
+call, and is no stable API; the test oracles live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ScaleError
-from .groups import CyclicPoset, CyclicWord, Group, generated_subgroup_words, max_materialize
+from .groups import CyclicPoset, CyclicWord, Group, max_materialize
 from .numtheory import as_prime_power
 
 __all__ = [
@@ -367,17 +367,6 @@ class PowerGraph:
         return [sum(map(gen_bits.__getitem__, poset.nodes(c))) for c in poset.comp]
 
     # -- enhanced power graph ----------------------------------------------------
-
-    def enhanced_adjacent(self, x: int, y: int) -> bool:
-        """True iff x and y together generate a cyclic subgroup."""
-        if x == y:
-            raise ValueError("enhanced adjacency is defined on distinct elements")
-        if self.adjacent_or_equal(x, y):
-            return True  # power-graph edges are always enhanced edges
-        g = self.group
-        sub = generated_subgroup_words(g, [g.word_of(x), g.word_of(y)])
-        size = len(sub)
-        return any(g.word_order(w) == size for w in sub)
 
     def enhanced_rows(self) -> list[int]:
         """Closed-neighbourhood bitmasks of the enhanced power graph.

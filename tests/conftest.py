@@ -1,8 +1,10 @@
-"""Brute-force oracles shared across the test suite.
+"""Brute-force oracles and helpers shared across the test suite.
 
-Everything here recomputes graph facts straight from the definitions by
+The brute_* oracles recompute graph facts straight from the definitions by
 enumerating powers with repeated multiplication, independently of the
 production shortcuts (order divisibility, bitset rows, generator lifts).
+Beside them are the paths the package replaced, kept as oracles, and the
+helpers no command calls.
 """
 
 from __future__ import annotations
@@ -10,15 +12,18 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import random
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 
-from powercrit import CyclicSubgroup, Group
+from powercrit import CyclicSubgroup, Group, PowerGraph
 from powercrit.cli import cmd_analyze, cmd_census, cmd_export, cmd_verify
+from powercrit.criticality import plain_critical_by_overgroups
 from powercrit.errors import InternalConsistencyError
-from powercrit.groups import CyclicWord
-from powercrit.numtheory import as_prime_power
+from powercrit.groups import CyclicWord, generated_subgroup_words
+from powercrit.numtheory import as_prime_power, is_prime, multiplicative_order
 from powercrit.report import analyze_group
 
 
@@ -347,12 +352,133 @@ def integer_partitions(n: int, largest: int | None = None):
             yield (m,) + rest
 
 
+def cycle_type_label(parts) -> str:
+    """The canonical representative of a cycle type, given longest cycle
+    first: its cycles on the points 1, 2, ... in order, fixed points left out."""
+    points = iter(range(1, sum(parts) + 1))
+    return "".join("(" + " ".join(str(next(points)) for _ in range(m)) + ")" for m in parts if m > 1) or "()"
+
+
 def cycle_type_element(group, parts) -> int:
     """An element of S_k with the given cycle lengths, on points 1, 2, ... in order."""
-    points = iter(range(1, group.degree + 1))
-    return group.parse_element(
-        "".join("(" + " ".join(str(next(points)) for _ in range(m)) + ")" for m in parts)
-    )
+    return group.parse_element(cycle_type_label(parts))
+
+
+# -- helpers no command calls -------------------------------------------------------
+#
+# Element powers, the group axioms, cyclic membership, enhanced adjacency
+# and overgroup witnesses by subgroup closure, and the least Frobenius r
+# for given (p, a, q, b).
+
+
+def power(group: Group, a: int, k: int) -> int:
+    """a^k by index, through the backend's word power."""
+    return group.index_of(group.word_pow(group.word_of(a), k))
+
+
+def spot_check_axioms(group: Group, triples: int = 1000, seed: int = 0) -> None:
+    """Identity and inverse laws on all elements; associativity sampled.
+
+    Associativity is exhaustive for order <= 64, else checked on `triples`
+    seeded random triples.  Raises AssertionError on any violation.
+    """
+    n = group.order
+    e = group.identity
+    for g in range(n):
+        assert group.mul(e, g) == g == group.mul(g, e), f"identity law fails at {g}"
+        gi = group.inv(g)
+        assert group.mul(g, gi) == e == group.mul(gi, g), f"inverse law fails at {g}"
+    if n <= 64:
+        triple_iter: Iterable[tuple[int, int, int]] = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triple_iter = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(triples))
+    for a, b, c in triple_iter:
+        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c)), (
+            f"associativity fails at ({a}, {b}, {c})"
+        )
+
+
+def is_power_of(group: Group, g: int, h: int) -> bool:
+    """True iff g lies in the cyclic subgroup generated by h.
+
+    Short-circuits on order divisibility before touching any powers.
+    """
+    if g == h or g == group.identity:
+        return True
+    og = group.element_order(g)
+    oh = group.element_order(h)
+    if oh % og:
+        return False
+    return g in group.members(h)
+
+
+def enhanced_adjacent(graph: PowerGraph, x: int, y: int) -> bool:
+    """True iff x and y together generate a cyclic subgroup."""
+    if x == y:
+        raise ValueError("enhanced adjacency is defined on distinct elements")
+    if graph.adjacent_or_equal(x, y):
+        return True  # power-graph edges are always enhanced edges
+    g = graph.group
+    sub = generated_subgroup_words(g, [g.word_of(x), g.word_of(y)])
+    size = len(sub)
+    return any(g.word_order(w) == size for w in sub)
+
+
+def noncyclic_overgroup_witnesses(graph: PowerGraph, x: int) -> tuple[int, int]:
+    """For a non-maximal plain critical x, two strict overgroup generators
+    with a non-cyclic join.
+
+    Built by the chain construction: pick y over x, find z over x outside
+    N[y]; if their join is cyclic, replace y by a generator of the join
+    (strictly higher) and repeat.  The chain is strictly increasing, so it
+    terminates, and the returned pair is verified non-cyclic.  Raises
+    ValueError when x is not plain critical or is maximal.
+    """
+    g = graph.group
+    over = sorted(graph.strict_overgroups(x))
+    if not over:
+        raise ValueError(
+            f"{g.element_label(x)} is maximal in {g.descriptor}; precondition violated"
+        )
+    if plain_critical_by_overgroups(graph, x) is not True:
+        raise ValueError(
+            f"{g.element_label(x)} is not plain critical in {g.descriptor}; precondition violated"
+        )
+    y = over[0]
+    for _ in range(g.order):
+        z = next(z for z in over if not graph.adjacent_or_equal(y, z))
+        sub = generated_subgroup_words(g, [g.word_of(y), g.word_of(z)])
+        size = len(sub)
+        gen_words = [w for w in sub if g.word_order(w) == size]
+        if not gen_words:
+            return y, z
+        y = min(g.index_of(w) for w in gen_words)
+    raise InternalConsistencyError("overgroup chain failed to terminate")
+
+
+def exists_for(p: int, a: int, q: int, b: int) -> int | None:
+    """Least r making (p, a, q, b, r) a Frobenius tuple, if one exists.
+
+    Existence is equivalent to q^b dividing p - 1.  The search checks
+    well-definedness mod p^a, not just the order mod p: an order-q^b
+    residue mod p may fail to lift, in which case the next candidate is
+    tried (the unit group mod p^a is cyclic, so some r always works).
+    """
+    if not is_prime(p) or not is_prime(q):
+        raise ValueError(f"p = {p} and q = {q} must be prime")
+    if p == q:
+        raise ValueError(f"p and q must be distinct, both are {p}")
+    if a < 1 or b < 1:
+        raise ValueError(f"exponents must be >= 1, got a={a}, b={b}")
+    qb = q**b
+    if (p - 1) % qb:
+        return None
+    pa = p**a
+    for r in range(2, pa):
+        if r % p and pow(r, qb, pa) == 1 and multiplicative_order(r, p) == qb:
+            return r
+    return None
 
 
 # -- products from the int64 formulas --------------------------------------------

@@ -2,7 +2,7 @@
 
 import time
 
-from conftest import brute_rows
+from conftest import brute_rows, enhanced_adjacent, is_power_of, noncyclic_overgroup_witnesses
 from powercrit import (
     PowerGraph,
     census,
@@ -10,13 +10,11 @@ from powercrit import (
     classify_element,
     classify_group,
     is_maximal_element,
-    is_power_of,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
     make_metacyclic,
     make_symmetric,
-    noncyclic_overgroup_witnesses,
     plain_critical_by_overgroups,
 )
 from powercrit.criticality import classify_class
@@ -128,7 +126,7 @@ def test_criterion_5_s11_example():
     y, z = noncyclic_overgroup_witnesses(graph, sigma)
     assert is_power_of(s11, sigma, y) and y != sigma
     assert is_power_of(s11, sigma, z) and z != sigma
-    assert not graph.enhanced_adjacent(y, z)
+    assert not enhanced_adjacent(graph, y, z)
 
     finish("criterion 5: S_11 example", started, 1800.0)
 

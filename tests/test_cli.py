@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_edge_count
+from conftest import brute_edge_count, cycle_type_label, integer_partitions
 from powercrit import PowerGraph, make_symmetric, parse_group_spec
 from powercrit.cli import _dump, main
 from powercrit.power_graph import export_json_graph
@@ -116,6 +116,14 @@ def test_analyze_writes_dot(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith('graph "power(C:8)"') and text.count(" -- ") == 28
+
+
+def test_analyze_refuses_dot_with_element(tmp_path, capsys):
+    target = tmp_path / "g.dot"
+    code, out, err = run(capsys, "analyze", "D:3", "--element", "1", "--dot", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: --dot draws the whole power graph; it cannot be combined with --element\n"
+    assert not target.exists()
 
 
 def test_census_cli(capsys):
@@ -503,6 +511,24 @@ def test_payload_bytes_are_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# SHA-256 of the element payloads of S_k, one per cycle type, concatenated
+# in the order integer_partitions lists the types; CI pins S_11 the same way
+CYCLE_TYPE_DIGESTS = {
+    9: "468d47017cc6a135406050509fd598b2de88637d0c695ad6542afd0ee9ccd936",
+    10: "110725fd20073a9b9f9fa39a5c4f46111fddfc086a7d6e363c6cd223d4763166",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(CYCLE_TYPE_DIGESTS))
+def test_every_cycle_type_payload_is_pinned(capsys, degree):
+    digest = hashlib.sha256()
+    for parts in integer_partitions(degree):
+        code, out, _ = run(capsys, "analyze", f"S:{degree}", "--element", cycle_type_label(parts), "--json", "--stable")
+        assert code == 0, parts
+        digest.update(out.encode())
+    assert digest.hexdigest() == CYCLE_TYPE_DIGESTS[degree]
 
 
 def test_plain_command_lines_do_not_import_argparse():

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import exists_for, noncyclic_overgroup_witnesses, power
 from powercrit import (
     CyclicPoset,
     PowerGraph,
@@ -9,14 +10,12 @@ from powercrit import (
     classify_element,
     classify_group,
     dihedral_plain_critical_profile,
-    exists_for,
     make_cyclic,
     make_dihedral,
     make_direct_product,
     make_generalized_quaternion,
     make_metacyclic,
     make_symmetric,
-    noncyclic_overgroup_witnesses,
     parse_group_spec,
     plain_critical_by_overgroups,
 )
@@ -78,7 +77,7 @@ def test_identity_never_critical():
 
 def test_metacyclic_kernel_class():
     graph = PowerGraph(M100)
-    order5 = M100.power(M100.index_of_pair(1, 0), 5)
+    order5 = power(M100, M100.index_of_pair(1, 0), 5)
     rec = classify_element(graph, order5)
     assert rec.kind == "compound" and rec.is_critical
     assert (rec.params.p, rec.params.r, rec.params.s) == (5, 2, 0)

@@ -3,14 +3,13 @@ import time
 
 import pytest
 
-from conftest import brute_try_structure
+from conftest import brute_try_structure, exists_for
 from powercrit import (
     MetacyclicParams,
     PowerGraph,
     census,
     classify_group,
     eppo_metacyclic_equivalence_check,
-    exists_for,
     make_cyclic,
     make_metacyclic,
     make_symmetric,

@@ -20,6 +20,9 @@ from conftest import (
     int64_quaternion,
     int64_table,
     integer_partitions,
+    is_power_of,
+    power,
+    spot_check_axioms,
 )
 from powercrit import (
     Group,
@@ -28,7 +31,6 @@ from powercrit import (
     exponent_and_pi,
     generated_subgroup,
     is_maximal_element,
-    is_power_of,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -38,7 +40,6 @@ from powercrit import (
     max_materialize,
     maximal_cyclic_subgroups,
     parse_group_spec,
-    spot_check_axioms,
 )
 from powercrit.numtheory import as_prime_power, is_prime
 from powercrit.verify import builtin_family
@@ -169,7 +170,7 @@ def test_metacyclic_builder_examples():
     assert g.element_order(y) == 4
     # conjugation x^y = x^7
     conj = g.mul(g.mul(g.inv(y), x), y)
-    assert conj == g.power(x, 7)
+    assert conj == power(g, x, 7)
     # at a = 3 the automorphism x -> x^7 has order 20, not 4; the order-4
     # action is generated by 7^5 = 57 (mod 125)
     with pytest.raises(ValueError, match="not well defined"):
@@ -415,7 +416,7 @@ def test_word_powers_match_the_mul_walk_and_word_pow():
         for x in range(group.order):
             pw = brute_powers(group, x)
             assert group.word_powers(x) == pw, (group.descriptor, x)
-            assert group.powers(x) == tuple(group.power(x, k) for k in range(len(pw))), (group.descriptor, x)
+            assert group.powers(x) == tuple(power(group, x, k) for k in range(len(pw))), (group.descriptor, x)
     # the generators at the threshold: a rotation of order 4096 or 2000, a reflection
     c, d = make_cyclic(4096), make_dihedral(2000)
     for group, x in ((c, 1), (d, 1), (d, 2000), (d, 3999)):

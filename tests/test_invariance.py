@@ -1,13 +1,15 @@
 """Isomorphism invariance: isomorphic groups have isomorphic power graphs,
 so every analysis field that names no element agrees between them."""
 
+import random
 from collections import defaultdict
 
 import pytest
 
-from conftest import isomorphism_invariant
+from conftest import cycle_type_label, integer_partitions, isomorphism_invariant
 from powercrit import census, make_metacyclic, multiplicative_order
 from powercrit.groupspec import parse_group_spec
+from powercrit.report import element_report
 
 ISOMORPHIC = [
     ("D:3", "S:3"),
@@ -70,3 +72,20 @@ def test_census_entries_agree_within_each_isomorphism_class():
             assert isomorphism_invariant(make_metacyclic(m.p, m.a, m.q, m.b, m.r)) == first, (key, m.r)
             compared += 1
     assert compared == 367
+
+
+
+@pytest.mark.parametrize("degree", [7, 8, 9])
+def test_element_payloads_are_conjugation_invariant(degree):
+    # the canonical representative writes its cycles on the points 1, 2, ...
+    # in order; writing them on a shuffled order instead conjugates it, and
+    # conjugates agree on every field but the element's label
+    group = parse_group_spec(f"S:{degree}")
+    rng = random.Random(degree)
+    for parts in integer_partitions(degree):
+        points = iter(rng.sample(range(1, degree + 1), degree))
+        conjugate = "".join("(" + " ".join(str(next(points)) for _ in range(m)) + ")" for m in parts if m > 1)
+        first = element_report(group, cycle_type_label(parts))
+        second = element_report(group, conjugate or "()")
+        del first["element"], second["element"]
+        assert first == second, (parts, conjugate)

@@ -55,10 +55,10 @@ def test_euler_phi_matches_coprime_count(n):
 
 def test_as_prime_power():
     pp = as_prime_power(25)
-    assert (pp.p, pp.k) == (5, 2) and pp.is_proper and pp.value() == 25
+    assert (pp.p, pp.k) == (5, 2) and pp.is_proper and pp.p**pp.k == 25
     assert as_prime_power(15) is None
     one = as_prime_power(1)
-    assert one is not None and one.is_one and not one.is_proper and one.value() == 1
+    assert one is not None and one.is_one and not one.is_proper and (one.p, one.k) == (None, 0)
     assert as_prime_power(8).k == 3
     assert as_prime_power(97).k == 1
 

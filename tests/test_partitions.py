@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import brute_hughes_thompson
+from conftest import brute_hughes_thompson, exists_for
 from powercrit import (
     PowerGraph,
     as_prime_power,
@@ -10,7 +10,6 @@ from powercrit import (
     check_partition_implies_compound_critical,
     check_plain_critical_maximal,
     cyclic_partition,
-    exists_for,
     factorize,
     hughes_thompson,
     kegel_partitionable,
