@@ -847,8 +847,10 @@ class CyclicPoset:
         nodes for the empty mask.  On elements: the common neighbourhood
         of the union of the nodes' generator sets."""
         comp, out = self.comp, self.full
-        for s in self.nodes(mask):
-            out &= comp[s]
+        while mask:  # nodes() inlined: meet is the closure kernel's inner loop
+            bit = mask & -mask
+            out &= comp[bit.bit_length() - 1]
+            mask ^= bit
         return out
 
     def expand(self, mask: int) -> frozenset[int]:
@@ -929,11 +931,12 @@ def _generators(pw) -> frozenset:
 
 def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:
     """(set of primes dividing the order, every-element-order-is-a-prime-power),
-    from the cyclic subgroups of the poset when materialized, else one scan."""
+    from the distinct orders of the poset's cyclic subgroups when
+    materialized, else one scan."""
     pi = frozenset(p for p, _ in factorize(group.order))
     poset = group._materialized_poset()
     if poset is not None:
-        orders: Iterable[int] = map(len, poset.powers)
+        orders: Iterable[int] = set(map(len, poset.powers))
     else:
         orders = (group.word_order(w) for _, w in group.scan())
     return pi, all(len(factorize(o)) <= 1 for o in orders)

@@ -11,8 +11,10 @@ Two operating modes:
   whose mask is full, and the one closure kernel, ``closure_mask``, takes
   N[N[X]] as two meets over node masks, kept by no memo; a common
   neighbourhood is the first meet alone (``CyclicPoset.meet``).  A
-  partition is one node mask per class; an element's record is read off
-  its class's mask, and DOT export expands all classes.
+  partition is one node mask per class, and DOT export expands all
+  classes.  The class records come from one pass over the twin masks, in
+  class order, which the graph keeps and draws from only as far as a
+  caller reads (:meth:`PowerGraph.drawn_records`).
 * lazy (any order): per-element queries answered on backend words.
   Adjacency against a fixed element x is the one lazy kernel,
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
@@ -39,6 +41,7 @@ call, and is no stable API; the test oracles live in ``tests/conftest.py``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -88,7 +91,8 @@ class PowerGraph:
         self._poset: CyclicPoset | None = None
         self._twin: TwinPartition | None = None
         self._fixed_cache: dict[int, CyclicWord] = {}
-        self._class_records: dict[int, object] = {}
+        self._records: list = []
+        self._draw: Iterator | None = None
         self._neighborhoods: dict[int, list] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
@@ -385,13 +389,23 @@ class PowerGraph:
 
     # -- derived queries -----------------------------------------------------------
 
-    def class_record(self, cid: int, classify):
-        """The record of twin class `cid`, computed by `classify(graph, cid)`
-        on first request and kept with the graph."""
-        rec = self._class_records.get(cid)
-        if rec is None:
-            rec = self._class_records[cid] = classify(self, cid)
-        return rec
+    def drawn_records(self, stop: int, draw) -> list:
+        """The twin-class records kept with the graph, at least the first
+        `stop` of them.  They come in class order from the one iterator
+        ``draw(group, masks)`` made on first request, which is drawn from
+        only as far as a caller asks.  A draw that raises is finished, so
+        it is dropped, and the next request draws again from the class
+        that raised."""
+        kept = self._records
+        if len(kept) < stop:
+            if self._draw is None:
+                self._draw = draw(self.group, self.twin_partition().masks[len(kept) :])
+            try:
+                kept.extend(itertools.islice(self._draw, stop - len(kept)))
+            except BaseException:
+                self._draw = None
+                raise
+        return kept
 
     def strict_overgroups(self, x: int) -> frozenset[int]:
         """Elements y whose cyclic subgroup strictly contains the one of x."""

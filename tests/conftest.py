@@ -20,7 +20,7 @@ import numpy as np
 
 from powercrit import CyclicSubgroup, Group, PowerGraph
 from powercrit.cli import cmd_analyze, cmd_census, cmd_export, cmd_verify
-from powercrit.criticality import plain_critical_by_overgroups
+from powercrit.criticality import NClassRecord, _compound_params, plain_critical_by_overgroups
 from powercrit.errors import InternalConsistencyError
 from powercrit.groups import CyclicWord, generated_subgroup_words
 from powercrit.numtheory import as_prime_power, is_prime, multiplicative_order
@@ -125,8 +125,9 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 
 
 def brute_class_record(group: Group, rows: list[int], members) -> tuple:
-    """The fields of a twin class's NClassRecord, as ``dataclasses.astuple``
-    gives them, straight from the definitions on brute-force rows.
+    """The fields of a twin class's NClassRecord, as ``tuple(rec)`` gives
+    them, straight from the definitions on brute-force rows; parameters
+    are a (p, r, s, root) tuple, which a CompoundParams equals.
 
     A compound class other than the star class gets its parameters from
     its member orders: the root is the least member of largest order p^r,
@@ -147,6 +148,55 @@ def brute_class_record(group: Group, rows: list[int], members) -> tuple:
         root = min(x for x, o in orders.items() if o == top)
         params = (p, r, _prime_power(min(orders.values()))[1] - 1, root)
     return (min(members), len(members), "plain" if plain else "compound", params, critical, size, star)
+
+
+def mask_class_record(graph: PowerGraph, cid: int) -> NClassRecord:
+    """The record of materialized twin class `cid`, read off its node mask
+    one class at a time: two meets for its closure and generator sums for
+    its sizes.  The one-pass record iterator replaced it."""
+    g = graph.group
+    poset = g.cyclic_poset()
+    own = graph.twin_partition().masks[cid]
+    # node ids follow least generators: the lowest node's is the least member
+    low = (own & -own).bit_length() - 1
+    rep, star = poset.least[low], low == poset.sub_of[g.identity]
+    size = sum(len(poset.gens[s]) for s in poset.nodes(own))
+    kind = "plain" if own == 1 << low else "compound"
+    hat = graph.closure_mask(own)
+    if star and hat != own:
+        raise InternalConsistencyError(
+            f"closure of the star class must be the star class, got {sorted(poset.expand(hat))}"
+        )
+    closure_size = sum(len(poset.gens[s]) for s in poset.nodes(hat))
+    closure_is_class_and_identity = hat == own | 1 << poset.sub_of[g.identity]
+
+    pp_closure = as_prime_power(closure_size)
+    is_critical = (
+        not star
+        and closure_is_class_and_identity
+        and pp_closure is not None
+        and pp_closure.k >= 2
+    )
+
+    params = None
+    if kind == "compound" and not star:
+        members = poset.expand(own)
+        params = _compound_params(g, members)
+        if is_critical != (params.s == 0):
+            raise InternalConsistencyError(
+                f"compound class of {g.element_label(rep)}: closure test gives "
+                f"critical={is_critical} but parameters give s={params.s}"
+            )
+
+    return NClassRecord(
+        representative=rep,
+        size=size,
+        kind=kind,
+        params=params,
+        is_critical=is_critical,
+        closure_size=closure_size,
+        is_star_class=star,
+    )
 
 
 def brute_try_structure(group: Group, p: int, a: int, q: int, b: int):

@@ -470,6 +470,20 @@ GOLDEN = {
     ("analyze", "M:17,2,2,2,38", "--json", "--stable"): (
         "c104ccf9653e451e1649de18e3e17cb6df0d480ca98687776a77e167a7c2ed2d"
     ),
+    # materialized element queries at the threshold, each drawing its own
+    # class's record alone: the first, second and last classes
+    ("analyze", "D:2000", "--element", "0", "--json", "--stable"): (
+        "ed1d1465ee83a5c2dca743c71b657f12c9f9217071796948931a24d22d1c7462"
+    ),
+    ("analyze", "D:2000", "--element", "1", "--json", "--stable"): (
+        "67c791f147b1a5e515f118a7436a59dd1d1edcd35e48dc708459b44d7218399a"
+    ),
+    ("analyze", "D:2000", "--element", "3999", "--json", "--stable"): (
+        "5b726d92181ec3d31e8e6584ab56fcefd62fa0cb31430229fca273f78450f3fe"
+    ),
+    ("analyze", "C:2 x D:1000", "--element", "3999", "--json", "--stable"): (
+        "bed1b582a9db0ab97342cbb9e25c9fd1807af69576778e6ebcafcdc92bea01d7"
+    ),
     # lazy element queries above the threshold; the two S:8 ones are the
     # benchmark's element queries, unconjugated
     ("analyze", "S:8", "--element", "(1 2 3 4 5 6 7 8)", "--json", "--stable"): (

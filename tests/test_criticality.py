@@ -1,8 +1,11 @@
 import pytest
 
-from conftest import exists_for, noncyclic_overgroup_witnesses, power
+from conftest import exists_for, mask_class_record, noncyclic_overgroup_witnesses, power
+from powercrit import criticality
 from powercrit import (
     CyclicPoset,
+    GroupKind,
+    InternalConsistencyError,
     PowerGraph,
     ScaleError,
     class_records,
@@ -19,6 +22,7 @@ from powercrit import (
     parse_group_spec,
     plain_critical_by_overgroups,
 )
+from powercrit.verify import builtin_family
 
 S4 = make_symmetric(4)
 D30 = make_dihedral(15)
@@ -116,6 +120,60 @@ def test_record_loop_expands_only_non_star_compound_classes(spec, compounds, mon
     assert len(compound) == compounds
     assert sorted(expanded) == sorted(compound)
     assert "classes" not in vars(twin)  # expanded only on first read
+
+
+@pytest.mark.parametrize("specs", [None, ["C:4096", "D:2000", "Q:11", "C:2 x D:1000", "M:17,2,2,2,38"]])
+def test_drawn_records_match_the_mask_reader(specs):
+    """The one-pass records, and the one-class draw of an element query,
+    against the per-class mask reader they replaced, on the family to 300
+    and on the benchmark's analyze groups."""
+    groups = builtin_family(300) if specs is None else map(parse_group_spec, specs)
+    for group in groups:
+        graph = PowerGraph(group)
+        oracle = [mask_class_record(graph, cid) for cid in range(len(graph.twin_partition().masks))]
+        records = class_records(graph)
+        for rec, want in zip(records, oracle, strict=True):
+            assert rec._asdict() == want._asdict(), group.descriptor
+            assert classify_element(graph, rec.representative) == want, group.descriptor
+
+
+def test_group_fold_draws_only_the_records_it_reads(monkeypatch):
+    """classify_group stops at the class that settles its flags, and the
+    records drawn by then are kept, not drawn again, when all are read."""
+    drawn = []
+    draw = criticality._drawn_records
+
+    def counting(group, masks):
+        for rec in draw(group, masks):
+            drawn.append(rec)
+            yield rec
+
+    monkeypatch.setattr(criticality, "_drawn_records", counting)
+    graph = PowerGraph(parse_group_spec("Q:11"))
+    assert classify_group(graph) == GroupKind(False, False, False)
+    classes = len(graph.twin_partition().masks)
+    assert 0 < len(drawn) < classes == 514
+    records = class_records(graph)
+    assert drawn == records == [mask_class_record(graph, cid) for cid in range(classes)]
+
+
+def test_a_draw_that_raises_is_drawn_again_from_that_class(monkeypatch):
+    """An error ends the records' iterator; the next read must raise again
+    or return every record, never the records drawn before the error."""
+    graph = PowerGraph(parse_group_spec("D:9"))  # {r, ..., r^8} is compound
+    params = criticality._compound_params
+
+    def failing(g, members):
+        raise InternalConsistencyError("injected")
+
+    monkeypatch.setattr(criticality, "_compound_params", failing)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="injected"):
+            class_records(graph)
+    monkeypatch.setattr(criticality, "_compound_params", params)
+    classes = len(graph.twin_partition().masks)
+    assert class_records(graph) == [mask_class_record(graph, cid) for cid in range(classes)]
+    assert [rec.kind for rec in class_records(graph)].count("compound") == 1
 
 
 def test_lazy_classify_matches_materialized():

@@ -387,6 +387,21 @@ def test_exponent_and_pi_poset_read_matches_element_scan(monkeypatch):
             assert exponent_and_pi(lazy) == (pi, eppo), group.descriptor
 
 
+def test_exponent_and_pi_factorizes_each_node_order_once(monkeypatch):
+    # both groups are EPPO, so no early exit hides a repeated order
+    from powercrit import groups
+
+    factorize = groups.factorize
+    for spec, nodes in (("Q:11", 523), ("M:17,2,2,2,38", 581)):
+        group = parse_group_spec(spec)
+        poset = group.cyclic_poset()
+        assert len(poset.powers) == nodes
+        calls = Counter()
+        monkeypatch.setattr(groups, "factorize", lambda n: calls.update([n]) or factorize(n))
+        assert exponent_and_pi(group)[1]
+        assert calls == Counter({group.order, *map(len, poset.powers)}), spec
+
+
 def test_is_cyclic_poset_read_matches_element_scan():
     # materialized C, D, Q and products read the largest maximal cyclic
     # subgroup; S and M keep their own answers; all against the orders
