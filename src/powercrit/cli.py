@@ -120,7 +120,7 @@ def _layout(newline: str) -> tuple[str, str, str, str, str, str]:
 
 
 def cmd_analyze(args) -> int:
-    if args.dot and args.element is not None:
+    if args.dot is not None and args.element is not None:
         raise ValueError("--dot draws the whole power graph; it cannot be combined with --element")
     group = parse_group_spec(args.spec)
     started = time.perf_counter()
@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
         graph = PowerGraph(group)
         doc = analyze_group(group, graph)
         schema = ANALYSIS_REPORT_SCHEMA
-        if args.dot:
+        if args.dot is not None:
             _write_text(args.dot, export_dot(graph, "power"))
     if not args.stable:
         doc["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
@@ -247,7 +247,7 @@ def cmd_export(args) -> int:
         doc = export_json_graph(graph, args.graph)
         validate_document(doc, GRAPH_EXPORT_SCHEMA)
         chunks = (_dump(doc),)
-    if args.output:
+    if args.output is not None:
         _write_text(args.output, chunks)
     else:
         _write_batched(sys.stdout, chunks)

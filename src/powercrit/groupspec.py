@@ -51,6 +51,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise GroupSpecError(f"unexpected token {ch!r} at position {i}")
         start = i
         i += 1
+        while i < n and text[i].isspace():
+            i += 1
         if i >= n or text[i] != ":":
             raise GroupSpecError(f"expected ':' after {fam!r} at position {i}")
         i += 1

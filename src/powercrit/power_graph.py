@@ -35,7 +35,12 @@ C((1 2 3)(4 5 6 7 8)) has 90 elements out of 39,916,800.  A backend
 without a centralizer enumeration falls back on one pass over the group.
 
 ``PowerGraph`` keeps what cli, report, criticality, partitions and verify
-call, and is no stable API; the test oracles live in ``tests/conftest.py``.
+call, and is no stable API.  Three of its paths are reached by no command,
+only by tests and ``bench/tracer.py``: ``diamond_partition``, the
+materialized branch of ``element_n_class`` (through
+``criticality.classify_class``) and the materialized ``closure`` of an
+element set, where commands call ``closure_mask`` on node masks.  The
+test oracles live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ScaleError
-from .groups import CyclicPoset, CyclicWord, Group, max_materialize
+from .groups import CyclicPoset, CyclicWord, Group
 from .numtheory import as_prime_power
 
 __all__ = [
@@ -101,11 +106,10 @@ class PowerGraph:
 
     def _require_materialized(self, what: str) -> CyclicPoset:
         if self._poset is None:
-            raise ScaleError(
-                f"{what} needs materialized mode (order {self.group.order}, "
-                f"threshold {max_materialize()}); use per-element operations "
-                "such as element_n_class instead"
-            )
+            hint = "; use per-element operations such as element_n_class instead"
+            # past its threshold the group refuses, naming the threshold it read
+            self.group.poset(what, hint)
+            raise ScaleError(f"{what} needs materialized mode: this graph was built lazily{hint}")
         return self._poset
 
     def _fixed(self, x: int) -> CyclicWord:

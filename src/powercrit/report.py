@@ -5,6 +5,11 @@ Nothing time-dependent lives inside the data payload: timing is a single
 optional top-level field that stable mode drops, so identical invocations
 serialize byte-identically.
 
+Each schema object is built by :func:`_closed`, so each property is
+named once, and :func:`_document` adds ``$schema`` to a payload's.
+``tests/test_report_schema.py`` pins the SHA-256 of each exported
+schema's key-sorted JSON.
+
 Every payload is checked before it is printed.  :func:`validate_document`
 compiles each schema once into nested closures, one per schema node, and
 keeps them with the schema object.  A scalar node first tests the exact
@@ -38,211 +43,138 @@ __all__ = [
 
 MAX_STAR_MEMBERS_LISTED = 32
 
-_PARAMS_SCHEMA = {
-    "type": ["object", "null"],
-    "properties": {
-        "p": {"type": "integer", "minimum": 2},
-        "r": {"type": "integer", "minimum": 2},
-        "s": {"type": "integer", "minimum": 0},
-        "root": {"type": "string"},
-    },
-    "required": ["p", "r", "s", "root"],
-    "additionalProperties": False,
-}
 
-ANALYSIS_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "group": {"type": "string"},
-        "order": {"type": "integer", "minimum": 1},
-        "pi": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "is_eppo": {"type": "boolean"},
-        "star": {
-            "type": "object",
-            "properties": {
-                "size": {"type": "integer", "minimum": 1},
-                "members": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["size", "members"],
-            "additionalProperties": False,
-        },
-        "classes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "representative": {"type": "string"},
-                    "representative_index": {"type": "integer", "minimum": 0},
-                    "size": {"type": "integer", "minimum": 1},
-                    "kind": {"enum": ["plain", "compound"]},
-                    "params": _PARAMS_SCHEMA,
-                    "is_critical": {"type": "boolean"},
-                    "closure_size": {"type": "integer", "minimum": 1},
-                    "is_star_class": {"type": "boolean"},
-                },
-                "required": [
-                    "representative",
-                    "representative_index",
-                    "size",
-                    "kind",
-                    "params",
-                    "is_critical",
-                    "closure_size",
-                    "is_star_class",
-                ],
-                "additionalProperties": False,
-            },
-        },
-        "group_kind": {
-            "type": "object",
-            "properties": {
-                "is_critical_group": {"type": "boolean"},
-                "is_plain_group": {"type": "boolean"},
-                "is_compound_group": {"type": "boolean"},
-            },
-            "required": ["is_critical_group", "is_plain_group", "is_compound_group"],
-            "additionalProperties": False,
-        },
-        "partition": {
-            "type": "object",
-            "properties": {
-                "exists": {"type": "boolean"},
-                "trivial": {"type": ["boolean", "null"]},
-                "component_orders": {
-                    "type": ["array", "null"],
-                    "items": {"type": "integer", "minimum": 2},
-                },
-                "obstruction": {
-                    "type": ["object", "null"],
-                    "properties": {
-                        "first": {"type": "string"},
-                        "second": {"type": "string"},
-                        "shared": {"type": "string"},
-                    },
-                    "required": ["first", "second", "shared"],
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["exists", "trivial", "component_orders", "obstruction"],
-            "additionalProperties": False,
-        },
-        "frobenius": {
-            "type": ["object", "null"],
-            "properties": {
-                "p": {"type": "integer"},
-                "a": {"type": "integer"},
-                "q": {"type": "integer"},
-                "b": {"type": "integer"},
-            },
-            "required": ["p", "a", "q", "b"],
-            "additionalProperties": False,
-        },
-        "timing_ms": {"type": "number", "minimum": 0},
-    },
-    "required": [
-        "group",
-        "order",
-        "pi",
-        "is_eppo",
-        "star",
-        "classes",
-        "group_kind",
-        "partition",
-        "frobenius",
-    ],
-    "additionalProperties": False,
-}
+def _closed(*, optional: dict | None = None, nullable: bool = False, **properties: dict) -> dict:
+    """A closed object schema: each of `properties` is required, in its
+    order, each of `optional` may be left out, and no other property is
+    allowed; `nullable` admits null in place of the object.  No payload
+    property is named ``optional`` or ``nullable``."""
+    return {
+        "type": ["object", "null"] if nullable else "object",
+        "properties": {**properties, **(optional or {})},
+        "required": list(properties),
+        "additionalProperties": False,
+    }
 
-ELEMENT_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "group": {"type": "string"},
-        "order": {"type": "integer", "minimum": 1},
-        "element": {"type": "string"},
-        "element_order": {"type": "integer", "minimum": 1},
-        "n_class_size": {"type": "integer", "minimum": 1},
-        "diamond_class_size": {"type": "integer", "minimum": 1},
+
+def _document(**closed) -> dict:
+    """A top-level payload schema: a :func:`_closed` object that names its draft."""
+    return {"$schema": "http://json-schema.org/draft-07/schema#", **_closed(**closed)}
+
+
+_PARAMS_SCHEMA = _closed(
+    p={"type": "integer", "minimum": 2},
+    r={"type": "integer", "minimum": 2},
+    s={"type": "integer", "minimum": 0},
+    root={"type": "string"},
+    nullable=True,
+)
+
+# optional in the analysis and element reports: stable mode leaves it out
+_TIMING = {"timing_ms": {"type": "number", "minimum": 0}}
+
+
+def _record(**between: dict) -> dict:
+    """The twin-class record fields of a ``classes`` item and of the element
+    report, with the element's own fields `between` before is_star_class."""
+    return {
         "kind": {"enum": ["plain", "compound"]},
         "params": _PARAMS_SCHEMA,
         "is_critical": {"type": "boolean"},
         "closure_size": {"type": "integer", "minimum": 1},
-        "is_maximal": {"type": "boolean"},
+        **between,
         "is_star_class": {"type": "boolean"},
-        "timing_ms": {"type": "number", "minimum": 0},
-    },
-    "required": [
-        "group",
-        "order",
-        "element",
-        "element_order",
-        "n_class_size",
-        "diamond_class_size",
-        "kind",
-        "params",
-        "is_critical",
-        "closure_size",
-        "is_maximal",
-        "is_star_class",
-    ],
-    "additionalProperties": False,
-}
+    }
 
-CENSUS_LINE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer"},
-        "a": {"type": "integer"},
-        "q": {"type": "integer"},
-        "b": {"type": "integer"},
-        "r": {"type": "integer"},
-        "order": {"type": "integer"},
-        "well_defined": {"type": "boolean"},
-        "eppo": {"type": "boolean"},
-        "frobenius": {"type": "boolean"},
-        "critical": {"type": "boolean"},
-        "graph_is_critical": {"type": ["boolean", "null"]},
-        "graph_agrees": {"type": ["boolean", "null"]},
-    },
-    "required": [
-        "p", "a", "q", "b", "r", "order",
-        "well_defined", "eppo", "frobenius", "critical",
-        "graph_is_critical", "graph_agrees",
-    ],
-    "additionalProperties": False,
-}
 
-GRAPH_EXPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "vertices": {
+ANALYSIS_REPORT_SCHEMA = _document(
+    group={"type": "string"},
+    order={"type": "integer", "minimum": 1},
+    pi={"type": "array", "items": {"type": "integer", "minimum": 2}},
+    is_eppo={"type": "boolean"},
+    star=_closed(
+        size={"type": "integer", "minimum": 1},
+        members={"type": "array", "items": {"type": "string"}},
+    ),
+    classes={
+        "type": "array",
+        "items": _closed(
+            representative={"type": "string"},
+            representative_index={"type": "integer", "minimum": 0},
+            size={"type": "integer", "minimum": 1},
+            **_record(),
+        ),
+    },
+    group_kind=_closed(
+        is_critical_group={"type": "boolean"},
+        is_plain_group={"type": "boolean"},
+        is_compound_group={"type": "boolean"},
+    ),
+    partition=_closed(
+        exists={"type": "boolean"},
+        trivial={"type": ["boolean", "null"]},
+        component_orders={"type": ["array", "null"], "items": {"type": "integer", "minimum": 2}},
+        obstruction=_closed(
+            first={"type": "string"},
+            second={"type": "string"},
+            shared={"type": "string"},
+            nullable=True,
+        ),
+    ),
+    frobenius=_closed(
+        p={"type": "integer"},
+        a={"type": "integer"},
+        q={"type": "integer"},
+        b={"type": "integer"},
+        nullable=True,
+    ),
+    optional=_TIMING,
+)
+
+ELEMENT_REPORT_SCHEMA = _document(
+    group={"type": "string"},
+    order={"type": "integer", "minimum": 1},
+    element={"type": "string"},
+    element_order={"type": "integer", "minimum": 1},
+    n_class_size={"type": "integer", "minimum": 1},
+    diamond_class_size={"type": "integer", "minimum": 1},
+    **_record(is_maximal={"type": "boolean"}),
+    optional=_TIMING,
+)
+
+CENSUS_LINE_SCHEMA = _document(
+    p={"type": "integer"},
+    a={"type": "integer"},
+    q={"type": "integer"},
+    b={"type": "integer"},
+    r={"type": "integer"},
+    order={"type": "integer"},
+    well_defined={"type": "boolean"},
+    eppo={"type": "boolean"},
+    frobenius={"type": "boolean"},
+    critical={"type": "boolean"},
+    graph_is_critical={"type": ["boolean", "null"]},
+    graph_agrees={"type": ["boolean", "null"]},
+)
+
+GRAPH_EXPORT_SCHEMA = _document(
+    vertices={
+        "type": "array",
+        "items": _closed(
+            id={"type": "integer", "minimum": 0},
+            order={"type": "integer", "minimum": 1},
+        ),
+    },
+    edges={
+        "type": "array",
+        "items": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0},
-                    "order": {"type": "integer", "minimum": 1},
-                },
-                "required": ["id", "order"],
-                "additionalProperties": False,
-            },
-        },
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
+            "items": {"type": "integer", "minimum": 0},
+            "minItems": 2,
+            "maxItems": 2,
         },
     },
-    "required": ["vertices", "edges"],
-    "additionalProperties": False,
-}
+)
 
 
 # Draft 7 type names as jsonschema applies them: a bool is no number, and
@@ -428,30 +360,22 @@ def analyze_group(group: Group, graph: PowerGraph | None = None) -> dict:
     if sum(rec.size for rec in records) != group.order:
         raise InternalConsistencyError("twin class sizes do not sum to the group order")
 
-    partition: dict
+    partition = {"exists": False, "trivial": None, "component_orders": None, "obstruction": None}
     if group.order >= 2:
         part = cyclic_partition(group)
         if part.is_partition:
-            partition = {
-                "exists": True,
-                "trivial": part.is_trivial,
-                "component_orders": sorted((c.order for c in part.components), reverse=True),
-                "obstruction": None,
-            }
+            partition.update(
+                exists=True,
+                trivial=part.is_trivial,
+                component_orders=sorted((c.order for c in part.components), reverse=True),
+            )
         else:
             a, b, shared = part.obstruction
-            partition = {
-                "exists": False,
-                "trivial": None,
-                "component_orders": None,
-                "obstruction": {
-                    "first": group.element_label(a.generator),
-                    "second": group.element_label(b.generator),
-                    "shared": group.element_label(shared),
-                },
+            partition["obstruction"] = {
+                "first": group.element_label(a.generator),
+                "second": group.element_label(b.generator),
+                "shared": group.element_label(shared),
             }
-    else:
-        partition = {"exists": False, "trivial": None, "component_orders": None, "obstruction": None}
 
     fs = recognize_critical_structure(group) if group.order >= 2 else None
     frobenius = None if fs is None else {"p": fs.p, "a": fs.a, "q": fs.q, "b": fs.b}

@@ -124,6 +124,7 @@ def test_analyze_refuses_dot_with_element(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: --dot draws the whole power graph; it cannot be combined with --element\n"
     assert not target.exists()
+    assert run(capsys, "analyze", "D:3", "--element", "1", "--dot", "") == (2, "", err)
 
 
 def test_census_cli(capsys):
@@ -294,8 +295,16 @@ def test_exit_code_usage_error_is_worded(capsys, argv, message):
     [
         lambda d: ["export", "C:4", "--output", str(d / "missing" / "x")],
         lambda d: ["analyze", "D:3", "--dot", str(d), "--json", "--stable"],
+        # an empty path is a path that cannot be written, not a missing one
+        lambda d: ["export", "D:3", "--output", ""],
+        lambda d: ["analyze", "D:3", "--dot", ""],
     ],
-    ids=["export into a missing directory", "analyze --dot onto a directory"],
+    ids=[
+        "export into a missing directory",
+        "analyze --dot onto a directory",
+        "export to an empty path",
+        "analyze --dot to an empty path",
+    ],
 )
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     started = time.perf_counter()
@@ -516,6 +525,17 @@ GOLDEN = {
     ("census", "--max-order", "5000"): "106f0fbe368b30811d3469e0d3f9cdc2ad6fdb65fd5351ea130936feac704c45",
     ("census", "--max-order", "10000", "--all-r", "--json"): (
         "ad4ede4d8ca67990d40abf7f5e73a22a5582d8702968d3effdb25cf38fb10645"
+    ),
+    # human-readable analyze output, recorded at 8c44011: a plain group, the
+    # Frobenius line and compound params, a partition, the obstruction
+    # line, the trivial group and a lazy element
+    ("analyze", "D:15", "--stable"): "1d6fbb6f3fe407e07ca9518dc42bea8ad4515f8a7426bedd50867adfc8ed52b9",
+    ("analyze", "M:5,2,2,2,7", "--stable"): "b5fe654706682e1319f2ea3354e3f5686afdd224e32597e545a229015e616eac",
+    ("analyze", "S:4", "--stable"): "f7455c52dcd5b9b3acb02315ab7de12d2d5a30ffdc019978980c6926dafb22d2",
+    ("analyze", "Q:4", "--stable"): "75e9766bf699cfeb200c591ee58531ac8f52630cb2d31788ed651ea792173b83",
+    ("analyze", "C:1", "--stable"): "1c6c825c554e1344cfa9b1d4c416fa59e9da64664c30738cad050728809eea28",
+    ("analyze", "S:8", "--element", "(1 2 3)(4 5 6 7 8)", "--stable"): (
+        "7191e8119f1d010fec448064eaa6b0d0b21359cbb9bedf75f9fa4412e7fc190c"
     ),
 }
 

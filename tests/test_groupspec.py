@@ -26,6 +26,9 @@ def test_whitespace_insensitive():
     assert a.descriptor == "M:5,2,2,2,7"
     b = parse_group_spec("  C:2\tx\nC:2  ")
     assert b.order == 4
+    # between the family letter and its ':' too
+    assert parse_group_spec("D : 3").descriptor == "D:3"
+    assert parse_group_spec("M :5,2,2,2,7 x C\t:2").descriptor == "M:5,2,2,2,7 x C:2"
 
 
 def test_lowercase_family_letters():

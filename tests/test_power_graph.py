@@ -409,6 +409,9 @@ def test_graph_takes_its_mode_from_the_group(monkeypatch):
     message = "^maximal cyclic subgroup enumeration needs materialized mode: order 24 exceeds threshold 10$"
     with pytest.raises(ScaleError, match=message):
         maximal_cyclic_subgroups(lazy_group)
+    # a graph's refusal names the threshold its group was built at, too
+    with pytest.raises(ScaleError, match="^twin partition needs materialized mode: order 24 exceeds threshold 10;"):
+        PowerGraph(lazy_group).twin_partition()
     assert (lazy_group.materialized, mat_group.materialized) == (False, True)
     assert not PowerGraph(lazy_group).materialized
     assert PowerGraph(mat_group).materialized
@@ -419,9 +422,10 @@ def test_graph_takes_its_mode_from_the_group(monkeypatch):
 
 
 def test_node_mask_queries_need_materialized_mode():
+    # S4 is within the threshold, so the refusal names the forced mode
     lazy = PowerGraph(S4, materialize=False)
-    for query in (lazy.node_rows, lambda: lazy.closure_mask(1)):
-        with pytest.raises(ScaleError, match="needs materialized mode"):
+    for query in (lazy.node_rows, lambda: lazy.closure_mask(1), lazy.twin_partition):
+        with pytest.raises(ScaleError, match="needs materialized mode: this graph was built lazily; use per-element"):
             query()
 
 

@@ -5,6 +5,7 @@ its error messages against the recursive interpreter in conftest."""
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
@@ -67,6 +68,23 @@ def unsupported(schema: dict) -> set[str]:
     for sub in subs:
         bad |= unsupported(sub)
     return bad
+
+
+# SHA-256 of json.dumps(schema, sort_keys=True), recorded at 8c44011 while
+# the schemas were written out as literals; the order of each required list
+# is part of the digest
+SCHEMA_DIGESTS = {
+    "analysis": "7957a62bce884293c5a9c50bf57fd16af8c5b151f8a31bd4bf6cf41fe3bc0325",
+    "element": "d3c3a9904bd9579627cabf47b3f61b0b56e17a4157192d969317fcea20c3dcb7",
+    "census": "6747831a73641edcd9f64ad32688f5729fbe0f49a5680aa37f424e07b50ecdda",
+    "export": "8f06b772b5d64a87278235901a39812bbff6bf9b675adb4f162eafe95b881300",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_is_pinned(name):
+    text = json.dumps(SCHEMAS[name], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEMA_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
