@@ -454,15 +454,14 @@ def main(argv=None) -> int:
         return code
     except SystemExit as exc:  # help, or a usage error
         return exc.code
-    except BrokenPipeError:
-        # The reader closed the pipe.  Point stdout at devnull, so that the
-        # flush at exit has somewhere to put what is still buffered.
-        try:
-            fd = sys.stdout.fileno()
-        except OSError:  # a stream with no descriptor
-            pass
-        else:
-            devnull = os.open(os.devnull, os.O_WRONLY)
+    except OSError as exc:
+        # stdout cannot take the output: a reader closed the pipe, quietly,
+        # or the device failed.  Point stdout at devnull, so that the flush
+        # at exit has somewhere to put what is still buffered.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # a stream with no descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
         return EXIT_USAGE

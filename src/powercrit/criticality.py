@@ -81,8 +81,8 @@ def _class_record(graph: PowerGraph, members: frozenset[int]) -> NClassRecord:
     g = graph.group
     rep, star = min(members), g.identity in members
     # a twin class is a union of same-generator classes and holds rep's,
-    # so it spans one cyclic subgroup iff every member generates <rep>
-    plain = members <= g.cyclic_generators(rep)
+    # so it spans one cyclic subgroup iff it has phi(o(rep)) members
+    plain = len(members) == euler_phi(g.element_order(rep))
     # N[s] = G for every star vertex, so the closure of the star class
     # is the star class itself; avoids scanning huge groups.
     closure = members if star else graph.closure(members)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -85,13 +86,21 @@ MAX_PRIME_POWER_BITS = 1024
 MAX_GENERATED_SUBGROUP = 100_000
 
 
+def _decimal(text: str) -> int:
+    """`text` as a signed ASCII decimal between whitespace, the way the spec
+    grammar reads integers: int() also takes other digits and underscores."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
 def max_materialize() -> int:
     """Materialization threshold; override with POWERCRIT_MAX_MATERIALIZE."""
     text = os.environ.get("POWERCRIT_MAX_MATERIALIZE")
     if text is None:
         return DEFAULT_MAX_MATERIALIZE
     try:
-        return int(text)
+        return _decimal(text)
     except ValueError:
         raise SettingError(
             f"POWERCRIT_MAX_MATERIALIZE must be an integer, got {text!r}"
@@ -176,7 +185,7 @@ class Group(ABC):
 
     def parse_element(self, text: str) -> int:
         try:
-            a = int(text.strip())
+            a = _decimal(text)
         except ValueError:
             raise ValueError(f"element descriptor {text!r} is not an index") from None
         if not 0 <= a < self.order:
@@ -227,19 +236,14 @@ class Group(ABC):
     def word_powers(self, w) -> list:
         """Like :meth:`powers` but on words, walked on every call.  Above the
         threshold the order is read first, and a long walk refused."""
-        if not self.materialized:
-            self._check_walk(self.word_order(w))
+        if not self.materialized and (o := self.word_order(w)) > MAX_CENTRALIZER_WALK:
+            raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
         e = self.word_of(self.identity)
         seq, x = [e], w
         while x != e:
             seq.append(x)
             x = self.word_mul(x, w)
         return seq
-
-    def _check_walk(self, o: int) -> None:
-        """Refuse, above the threshold, to list the o powers of an element."""
-        if not self.materialized and o > MAX_CENTRALIZER_WALK:
-            raise ScaleError(f"walk over the {o} powers of an element exceeds the limit {MAX_CENTRALIZER_WALK}")
 
     def scan(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, object]]:
         """Iterate (index, word) over the rank range [lo, hi)."""
@@ -537,7 +541,7 @@ class PermutationGroup(Group):
                     raise ValueError(f"unbalanced parenthesis in cycle notation: {text!r}")
                 depth = 0
                 try:
-                    pts = [int(x) for x in current.replace(",", " ").split()]
+                    pts = [_decimal(x) for x in current.replace(",", " ").split()]
                 except ValueError:
                     raise ValueError(f"cycle points must be integers: {text!r}") from None
                 if pts:
@@ -717,7 +721,7 @@ class MetacyclicGroup(Group):
             if len(parts) != 2:
                 raise ValueError(f"metacyclic element descriptor must be (i,j), got {text!r}")
             try:
-                i, j = (int(x) for x in parts)
+                i, j = map(_decimal, parts)
             except ValueError:
                 raise ValueError(f"metacyclic coordinates must be integers, got {text!r}") from None
             if not (0 <= i < self.pa and 0 <= j < self.qb):
@@ -902,21 +906,11 @@ def maximal_cyclic_subgroups(group: Group) -> list[CyclicSubgroup]:
 
 
 def is_maximal_element(group: Group, x: int) -> bool:
-    """True iff no element generates a strictly larger cyclic subgroup over x.
-
-    Read off the poset's maximality flags at or below the materialization
-    threshold.  Otherwise one pass over C(x), which holds every cyclic
-    overgroup of x: a strict overgroup is a word of larger order adjacent
-    to x.
-    """
-    poset = group._materialized_poset()
-    if poset is not None:
-        return poset.maximal[poset.sub_of[x]]
-    fx = CyclicWord(group, group.word_of(x))
-    for w, ow in group.centralizer_words(fx.word):
-        if ow > fx.order and fx.adjacent_or_equal(group, w, ow):
-            return False
-    return True
+    """True iff no element generates a strictly larger cyclic subgroup over x,
+    read off the poset's maximality flags; refused past the threshold, where
+    an element report reads it as |N[x]| = o(x)."""
+    poset = group.poset("element maximality test")
+    return poset.maximal[poset.sub_of[x]]
 
 
 def _units(o: int) -> list[int]:

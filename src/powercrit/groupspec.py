@@ -17,6 +17,8 @@ parse(print(spec)) round-trips.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import GroupSpecError
 from .groups import (
     Group,
@@ -66,7 +68,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 d += 1
             if d == j:
                 raise GroupSpecError(f"expected integer at position {j} in {fam!r} arguments")
-            args.append(int(text[j:d]))
+            try:
+                args.append(int(text[j:d]))
+            except ValueError:  # more digits than int() converts
+                raise GroupSpecError(f"integer at position {j} exceeds {sys.get_int_max_str_digits()} digits") from None
             i = d
             while i < n and text[i].isspace():
                 i += 1

@@ -20,27 +20,28 @@ Two operating modes:
   :class:`~powercrit.groups.CyclicWord`: it short-circuits on order
   divisibility and then costs one set lookup, either the other element
   among the powers of x or its power lifted to order(x) among the
-  generators of x's cyclic subgroup.  N[x] is kept with the graph as
-  (word, order) pairs, filed under every twin of x once the twin class
-  is known, so the closure of a twin class reads its common
-  neighbourhood N[x] and its words' orders from the memo instead of
-  filtering or decoding it again.
+  generators of x's cyclic subgroup.  The graph keeps one record per
+  element x queried: <x>, N[x] as (word, order) pairs and, once found,
+  x's twin class, whose closure reads its common neighbourhood N[x] off
+  the record.  A lazy closure needs a pairwise-adjacent set.
 
 Adjacent elements commute, so N[x] and the cyclic overgroups of x lie
 inside the centralizer C(x), and a word separating x from a power c of
 x inside C(c).  Lazy queries pass over
 :meth:`~powercrit.groups.Group.centralizer_words`, which yields each word
 with its order, rather than the whole group: in S_11,
-C((1 2 3)(4 5 6 7 8)) has 90 elements out of 39,916,800.  A backend
-without a centralizer enumeration falls back on one pass over the group.
+C((1 2 3)(4 5 6 7 8)) has 90 elements out of 39,916,800, walked only
+for N[x] and for the twin powers of x.  A backend without a centralizer
+enumeration falls back on one pass over the group.
 
 ``PowerGraph`` keeps what cli, report, criticality, partitions and verify
-call, and is no stable API.  Three of its paths are reached by no command,
+call, and is no stable API.  Some of its paths are reached by no command,
 only by tests and ``bench/tracer.py``: ``diamond_partition``, the
 materialized branch of ``element_n_class`` (through
-``criticality.classify_class``) and the materialized ``closure`` of an
-element set, where commands call ``closure_mask`` on node masks.  The
-test oracles live in ``tests/conftest.py``.
+``criticality.classify_class``), the materialized ``closure`` of an
+element set, where commands call ``closure_mask`` on node masks, lazy
+``adjacent_or_equal``, and the lazy ``closure`` of any set other than a
+kept twin class.  The test oracles live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ScaleError
 from .groups import CyclicPoset, CyclicWord, Group
@@ -62,8 +63,16 @@ __all__ = [
 ]
 
 
-# entries kept per graph in each of its lazy memos (fixed elements, N[x])
+# records kept per lazy graph, one per element queried
 _CACHE_CAP = 4096
+
+
+class _Kept(NamedTuple):
+    """A lazy record of x: <x>, N[x] as (word, order) pairs, x's twin class."""
+
+    fx: CyclicWord
+    nb: list
+    twins: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,9 @@ class PowerGraph:
         self.materialized = group.materialized if materialize is None else bool(materialize)
         self._poset: CyclicPoset | None = None
         self._twin: TwinPartition | None = None
-        self._fixed_cache: dict[int, CyclicWord] = {}
         self._records: list = []
         self._draw: Iterator | None = None
-        self._neighborhoods: dict[int, list] = {}
+        self._neighborhoods: dict[int, _Kept] = {}
         if self.materialized:
             self._poset = group.cyclic_poset()
 
@@ -112,24 +120,16 @@ class PowerGraph:
             raise ScaleError(f"{what} needs materialized mode: this graph was built lazily{hint}")
         return self._poset
 
-    def _fixed(self, x: int) -> CyclicWord:
-        fx = self._fixed_cache.get(x)
-        if fx is None:
+    def _neighborhood(self, x: int) -> _Kept:
+        """The record of x, N[x] found in one lazy pass over C(x), kept with
+        the graph."""
+        kept = self._neighborhoods.get(x)
+        if kept is None:
             fx = CyclicWord(self.group, self.group.word_of(x))
-            if len(self._fixed_cache) < _CACHE_CAP:
-                self._fixed_cache[x] = fx
-        return fx
-
-    def _neighborhood(self, x: int) -> list[tuple]:
-        """N[x] as the (word, order) pairs of one lazy pass over C(x), kept
-        with the graph."""
-        nb = self._neighborhoods.get(x)
-        if nb is None:
-            fx = self._fixed(x)
-            nb = self._common([fx], self.group.centralizer_words(fx.word))
+            kept = _Kept(fx, self._common([fx], self.group.centralizer_words(fx.word)))
             if len(self._neighborhoods) < _CACHE_CAP:
-                self._neighborhoods[x] = nb
-        return nb
+                self._neighborhoods[x] = kept
+        return kept
 
     # -- adjacency ------------------------------------------------------------
 
@@ -138,7 +138,7 @@ class PowerGraph:
         if poset is not None:
             return bool((poset.comp[poset.sub_of[x]] >> poset.sub_of[y]) & 1)
         g = self.group
-        fx = self._fixed(x)
+        fx = kept.fx if (kept := self._neighborhoods.get(x)) else CyclicWord(g, g.word_of(x))
         wy = g.word_of(y)
         return fx.adjacent_or_equal(g, wy, g.word_order(wy))
 
@@ -150,23 +150,29 @@ class PowerGraph:
         poset = self._poset
         if poset is not None:
             return poset.expand(poset.comp[poset.sub_of[x]])
-        return frozenset(self.group.index_of(w) for w, _ in self._neighborhood(x))
+        return frozenset(self.group.index_of(w) for w, _ in self._neighborhood(x).nb)
 
     def closed_neighborhood_size(self, x: int) -> int:
-        """|N[x]|; lazily, the number of kept words, none decoded."""
-        return len(self.closed_neighborhood(x) if self._poset is not None else self._neighborhood(x))
+        """|N[x]|: |G| for x = 1, unwalked; else summed over the nodes
+        comparable with <x>, or lazily the kept words, none decoded."""
+        poset = self._poset
+        if x == self.group.identity:
+            return self.group.order
+        if poset is not None:
+            return sum(len(poset.gens[s]) for s in poset.nodes(poset.comp[poset.sub_of[x]]))
+        return len(self._neighborhood(x).nb)
 
     def closure(self, xs) -> frozenset[int]:
         """The closed neighbourhood of the common neighbourhood of xs.
 
         This is a Moore closure: extensive, monotone and idempotent.  In
-        lazy mode, whenever the input is pairwise adjacent (every twin
-        class is), the whole computation happens inside N[x0] for any
-        x0 in xs, and inputs that share one kept N[x0] (twins) have it as
-        their common neighbourhood; otherwise the closure lies in N[z0]
-        for any z0 in the common neighbourhood, and one pass over C(z0)
-        finds it.  N[1] = G, so the identity is dropped first: anchored on
-        it, the pass would run over the whole group.
+        lazy mode the input must be pairwise adjacent, as every twin class
+        is; then xs lies in its own common neighbourhood, so the whole
+        computation happens inside N[x0] for any x0 in xs.  A twin class
+        kept by :meth:`element_n_class` reads its common neighbourhood N[x]
+        off that record, and any other set filters the kept N[min(xs)]; a
+        set that is not pairwise adjacent is refused, and C(x) is never
+        walked a second time.  The identity is dropped first: N[1] = G.
 
         Materialized, it is :meth:`closure_mask` of xs's nodes, expanded.
         """
@@ -177,21 +183,14 @@ class PowerGraph:
         xs = frozenset(xs) - {g.identity}
         if not xs:
             return self.star_vertices()
-        reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
-        pairwise = all(
-            a.adjacent_or_equal(g, b.word, b.order) for i, a in enumerate(reps) for b in reps[i + 1 :]
-        )
-        if pairwise:
-            # xs lies in its own common neighbourhood, so the closure does too
-            common = self._neighborhood(min(xs))
-            if any(self._neighborhoods.get(x) is not common for x in xs):
-                common = self._common(reps, common)
-            return frozenset(map(g.index_of, self._universal(common)))
-        common = self._common(reps, g.centralizer_words(reps[0].word))
-        e = g.word_of(g.identity)
-        z0 = next((w for w, _ in common if w != e), e)
-        hat = self._common(self._subgroup_reps(w for w, _ in common), g.centralizer_words(z0))
-        return frozenset(g.index_of(w) for w, _ in hat)
+        kept = self._neighborhoods
+        common = next((k.nb for x in xs if (k := kept.get(x)) and k.twins == xs), None)
+        if common is None:
+            reps = self._subgroup_reps(map(g.word_of, sorted(xs)))
+            if not all(a.adjacent_or_equal(g, b.word, b.order) for a, b in itertools.combinations(reps, 2)):
+                self._require_materialized("closure of a set that is not pairwise adjacent")
+            common = self._common(reps, self._neighborhood(min(xs)).nb)
+        return frozenset(map(g.index_of, self._universal(common)))
 
     def closure_mask(self, mask: int) -> int:
         """The closure of a node mask: the nodes comparable with every node
@@ -249,11 +248,8 @@ class PowerGraph:
         poset = self._poset
         if poset is not None:
             return poset.expand(sum(1 << s for s, c in enumerate(poset.comp) if c == poset.full))
-        return self._star_lazy()
-
-    def _star_lazy(self) -> frozenset[int]:
-        # Classification shortcut: the star set exceeds {1} only in cyclic
-        # groups (all of G for prime-power order, else 1 plus the
+        # Lazily, a classification shortcut: the star set exceeds {1} only
+        # in cyclic groups (all of G for prime-power order, else 1 plus the
         # generators) and in generalized quaternion 2-groups (1 plus the
         # unique involution).
         g = self.group
@@ -302,16 +298,15 @@ class PowerGraph:
         p, and the subgroups of a cyclic p-group form a chain.  A candidate
         c above x has N[c] inside N[x], so its separators lie among the
         kept words of N[x]; one per cyclic subgroup is tested there.  The
-        powers below x are left to :meth:`_twin_powers`.  Twins share N[x],
-        so the kept N[x] is filed under each of them.
+        powers below x are left to :meth:`_twin_powers`.  The class is kept
+        in x's record, beside the N[x] its members share.
         """
         if self._poset is not None:
             return self.twin_partition().class_containing(x)
         g = self.group
         if x == g.identity:
             return self.star_vertices()
-        nb = self._neighborhood(x)
-        fx = self._fixed(x)
+        fx, nb, _ = kept = self._neighborhood(x)
         twins = set(fx.gens)
         if len(nb) == g.order:
             twins.add(g.word_of(g.identity))
@@ -329,10 +324,8 @@ class PowerGraph:
             for f in below[: self._twin_powers(fx, below)]:
                 twins |= f.gens
         members = frozenset(map(g.index_of, twins))
-        kept = self._neighborhoods
-        for t in members:
-            if t in kept or len(kept) < _CACHE_CAP:
-                kept[t] = nb
+        if x in self._neighborhoods:
+            self._neighborhoods[x] = kept._replace(twins=members)
         return members
 
     def _twin_powers(self, fx: CyclicWord, below: list[CyclicWord]) -> int:

@@ -26,7 +26,8 @@ from collections.abc import Callable
 
 from .criticality import class_records, classify_element, classify_group
 from .errors import InternalConsistencyError
-from .groups import Group, exponent_and_pi, is_maximal_element
+from .groups import Group, exponent_and_pi
+from .numtheory import euler_phi
 from .partitions import cyclic_partition
 from .power_graph import PowerGraph
 
@@ -406,24 +407,19 @@ def element_report(group: Group, element: int | str) -> dict:
     graph = PowerGraph(group)
     rec = classify_element(graph, x)
     order = group.element_order(x)
-    # materialized, the poset flags maximality; lazily, x is maximal iff
-    # N[x], kept from classification, is just <x> (N[e] = G is never built)
-    if group.materialized:
-        maximal = is_maximal_element(group, x)
-    else:
-        maximal = group.order == 1 if x == group.identity else graph.closed_neighborhood_size(x) == order
     return {
         "group": group.descriptor,
         "order": group.order,
         "element": group.element_label(x),
         "element_order": order,
         "n_class_size": rec.size,
-        "diamond_class_size": len(group.cyclic_generators(x)),
+        "diamond_class_size": euler_phi(order),
         "kind": rec.kind,
         "params": _params_dict(group, rec.params),
         "is_critical": rec.is_critical,
         "closure_size": rec.closure_size,
-        "is_maximal": maximal,
+        # x is maximal iff N[x], kept from classification, is just <x>
+        "is_maximal": graph.closed_neighborhood_size(x) == order,
         "is_star_class": rec.is_star_class,
     }
 

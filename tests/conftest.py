@@ -351,6 +351,17 @@ def eager_centralizer_words(group, w) -> list[tuple[int, ...]]:
     ]
 
 
+def centralizer_is_maximal(group, x: int) -> bool:
+    """True iff no element generates a strictly larger cyclic subgroup over
+    x, found in one pass over C(x), which holds every cyclic overgroup of
+    x: a strict overgroup is a word of larger order adjacent to x."""
+    fx = CyclicWord(group, group.word_of(x))
+    for w, ow in group.centralizer_words(fx.word):
+        if ow > fx.order and fx.adjacent_or_equal(group, w, ow):
+            return False
+    return True
+
+
 def single_walk_twin_class(group, x: int) -> tuple[frozenset[int], int]:
     """The twin class of x != 1 with every prime-power candidate separated
     in one walk, and the number of centralizer words walked in all.

@@ -2,14 +2,19 @@
 
 import time
 
-from conftest import brute_rows, enhanced_adjacent, is_power_of, noncyclic_overgroup_witnesses
+from conftest import (
+    brute_rows,
+    centralizer_is_maximal,
+    enhanced_adjacent,
+    is_power_of,
+    noncyclic_overgroup_witnesses,
+)
 from powercrit import (
     PowerGraph,
     census,
     class_records,
     classify_element,
     classify_group,
-    is_maximal_element,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
@@ -18,6 +23,7 @@ from powercrit import (
     plain_critical_by_overgroups,
 )
 from powercrit.criticality import classify_class
+from powercrit.report import element_report
 from powercrit.verify import builtin_family, run_suites
 
 
@@ -96,7 +102,9 @@ def test_criterion_4_s8_stretch():
     s8 = make_symmetric(8)
     graph = PowerGraph(s8)
     sigma = s8.parse_element("(1 2 3)(4 5 6 7 8)")
-    assert is_maximal_element(s8, sigma)
+    # the report reads maximality off N[x]; the oracle walks C(x)
+    assert element_report(s8, sigma)["is_maximal"] is True
+    assert centralizer_is_maximal(s8, sigma)
     # the overgroup-criterion route (vacuous for a maximal element)
     assert plain_critical_by_overgroups(graph, sigma) is True
     # confirmed by the lazy scan oracle
@@ -158,13 +166,15 @@ def test_criterion_7_oracle_equivalences():
         for x in range(n):
             row = rows[x]
             assert mat.closed_neighborhood(x) == frozenset(y for y in range(n) if (row >> y) & 1)
+            # the class query keeps x's record, whose <x> the lazy adjacency
+            # tests read instead of walking <x> once per y
+            assert lazy.element_n_class(x) == mat.twin_partition().class_containing(x)
             for y in range(n):
                 assert lazy.adjacent_or_equal(x, y) == mat.adjacent_or_equal(x, y) == bool((row >> y) & 1), (
                     group.descriptor,
                     x,
                     y,
                 )
-            assert lazy.element_n_class(x) == mat.twin_partition().class_containing(x)
         checked += 1
         # overgroup criterion vs direct classification, all applicable reps
         for rec in class_records(mat):

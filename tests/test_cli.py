@@ -282,6 +282,16 @@ def test_exit_code_scale_error_before_the_work(capsys, argv, message):
         (["analyze", "S:4", "--element", "(1 a)"], "error: cycle points must be integers: '(1 a)'\n"),
         # a superscript passes str.isdigit but is no decimal digit
         (["analyze", "C:\u00b2"], "error: expected integer at position 2 in 'C' arguments\n"),
+        # int() reads the next four as 3, 10, (0,1) and (1 2), and fails on
+        # the last with its own text
+        (["analyze", "D:3", "--element", "\u0663"], "error: element descriptor '\u0663' is not an index\n"),
+        (["analyze", "D:6", "--element", "1_0"], "error: element descriptor '1_0' is not an index\n"),
+        (
+            ["analyze", "M:3,1,2,1,2", "--element", "(\u0660,1)"],
+            "error: metacyclic coordinates must be integers, got '(\u0660,1)'\n",
+        ),
+        (["analyze", "S:3", "--element", "(1 \u0662)"], "error: cycle points must be integers: '(1 \u0662)'\n"),
+        (["analyze", "C:" + "7" * 5000], "error: integer at position 2 exceeds 4300 digits\n"),
     ],
 )
 def test_exit_code_usage_error_is_worded(capsys, argv, message):
@@ -419,6 +429,27 @@ def test_stdout_closed_at_start_exits_2_without_a_traceback(argv):
     assert (proc.returncode, proc.stderr) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "D:3", "--json"],
+        ["census", "--max-order", "3000", "--json"],
+        ["export", "D:60", "--format", "dot"],
+        ["verify", "--max-order", "30"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_stdout_exits_2_without_a_traceback(argv):
+    # every write to /dev/full fails with ENOSPC, at the latest when main
+    # flushes stdout
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "powercrit", *argv], stdout=full, stderr=subprocess.PIPE,
+            env=src_env(), text=True, timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write output: No space left on device\n")
+
+
 def test_exit_code_usage(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
@@ -444,11 +475,13 @@ def test_materialize_threshold_env(monkeypatch, capsys):
 
 
 def test_materialize_threshold_env_malformed(monkeypatch, capsys):
-    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "abc")
-    for argv in (["analyze", "D:5"], ["analyze", "S:8", "--element", "(1 2 3)"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err == "error: POWERCRIT_MAX_MATERIALIZE must be an integer, got 'abc'\n"
+    # int() reads the last two as 10, which would refuse D:6 with exit 3
+    for text in ("abc", "\u0661\u0660", "1_0"):
+        monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", text)
+        for argv in (["analyze", "D:6"], ["analyze", "S:8", "--element", "(1 2 3)"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: POWERCRIT_MAX_MATERIALIZE must be an integer, got {text!r}\n"
 
 
 # -- the JSON byte contract ------------------------------------------------------------
@@ -517,6 +550,11 @@ GOLDEN = {
     ),
     ("analyze", "M:17,2,2,4,38", "--element", "(1,0)", "--json", "--stable"): (
         "eb28f3e4d7977382e5573aca711d4f48bb1feb2e8746c85ff94b254388b8cc80"
+    ),
+    # a lazy twin class of 4,110 members, more than the records a graph
+    # keeps, recorded at c64bb25; CI pins the 65,598 of M:65599,1,2,1,65598
+    ("analyze", "M:4111,1,2,1,4110", "--element", "(1,0)", "--json", "--stable"): (
+        "589932b4c90947e4131230d770a9ae449240a506cafeea96ae5acb4f7feb7464"
     ),
     # census listings, recorded while the enumeration still tried every prime q
     ("census", "--max-order", "1200", "--verify-up-to", "1200", "--all-r", "--json"): (

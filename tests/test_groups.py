@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from conftest import (
     assert_products_match,
     assert_products_match_sampled,
     brute_powers,
+    centralizer_is_maximal,
     cycle_type_element,
     int64_cyclic,
     int64_dihedral,
@@ -27,6 +29,7 @@ from conftest import (
 from powercrit import (
     Group,
     ScaleError,
+    SettingError,
     census,
     exponent_and_pi,
     generated_subgroup,
@@ -234,6 +237,43 @@ def test_metacyclic_pair_descriptors():
         g.parse_element("(25,0)")
 
 
+@pytest.mark.parametrize(
+    "spec,text,message",
+    [
+        # int() would read these as 3, 10, (0,1) and (1 2)
+        ("D:3", "\u0663", "element descriptor '\u0663' is not an index"),
+        ("D:6", "1_0", "element descriptor '1_0' is not an index"),
+        ("M:3,1,2,1,2", "(\u0660,1)", "metacyclic coordinates must be integers, got '(\u0660,1)'"),
+        ("S:3", "(1 \u0662)", "cycle points must be integers: '(1 \u0662)'"),
+        ("S:3", "(1 2_0)", "cycle points must be integers: '(1 2_0)'"),
+    ],
+    ids=["arabic-indic index", "underscore index", "arabic-indic coordinate", "arabic-indic point", "underscore point"],
+)
+def test_element_integers_are_ascii_decimal(spec, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_group_spec(spec).parse_element(text)
+
+
+def test_element_integers_keep_whitespace_and_sign():
+    d3, m, s3 = parse_group_spec("D:3"), make_metacyclic(3, 1, 2, 1, 2), make_symmetric(3)
+    assert d3.parse_element(" 3\t") == 3
+    assert m.parse_element("( 1 , 0 )") == m.index_of_pair(1, 0)
+    assert s3.parse_element("(+1 2)") == s3.parse_element("(1 2)")
+    with pytest.raises(ValueError, match="^element index -1 out of range for order 6$"):
+        d3.parse_element("-1")
+    with pytest.raises(ValueError, match="^point 0 out of range 1..3$"):
+        s3.parse_element("(-0 1)")
+
+
+@pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", "10.0", ""], ids=["arabic-indic", "underscore", "point", "empty"])
+def test_threshold_is_ascii_decimal(monkeypatch, text):
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", text)
+    with pytest.raises(SettingError, match=f"^POWERCRIT_MAX_MATERIALIZE must be an integer, got {re.escape(repr(text))}$"):
+        max_materialize()
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", " 10\n")
+    assert max_materialize() == 10
+
+
 # -- permutation backend ----------------------------------------------------------
 
 
@@ -350,8 +390,13 @@ def test_maximal_cyclic_subgroups():
 
 
 def test_is_maximal_element():
+    # past the threshold the poset read is refused, and the oracle's C(x)
+    # walk answers
     s8 = make_symmetric(8)
-    assert is_maximal_element(s8, s8.parse_element("(1 2 3)(4 5 6 7 8)"))
+    sigma = s8.parse_element("(1 2 3)(4 5 6 7 8)")
+    with pytest.raises(ScaleError, match="^element maximality test needs materialized mode: order 40320"):
+        is_maximal_element(s8, sigma)
+    assert centralizer_is_maximal(s8, sigma)
     s5 = make_symmetric(5)
     assert not is_maximal_element(s5, s5.parse_element("(1 2 3)"))
     c15 = make_cyclic(15)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from powercrit import GroupSpecError, parse_group_spec
@@ -56,12 +58,22 @@ def test_roundtrip_canonical(group_spec):
         ("M:5,2", "takes 5 argument"),
         ("", "empty group spec"),
         ("D:1,2", "unexpected token ','"),
+        # integers are ASCII decimal, though int() takes these too
+        ("C:\u0663", "expected integer at position 2"),
+        ("M:5,2,2,2,\uff17", "expected integer at position 10"),
+        ("C:1_0", "unexpected token '_' at position 3"),
     ],
 )
 def test_parse_errors_cite_position(text, fragment):
     with pytest.raises(GroupSpecError) as err:
         parse_group_spec(text)
     assert fragment in str(err.value)
+
+
+def test_integer_past_the_conversion_limit_names_its_position():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(GroupSpecError, match=f"^integer at position 8 exceeds {limit} digits$"):
+        parse_group_spec("C:2 x C:" + "1" * (limit + 1))
 
 
 def test_invalid_atom_parameters_are_spec_errors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import astuple
@@ -12,12 +13,14 @@ from conftest import (
     brute_rows,
     brute_twin_class,
     brute_twin_classes,
+    centralizer_is_maximal,
     cycle_type_element,
     enhanced_adjacent,
     integer_partitions,
 )
 from powercrit import (
     CyclicPoset,
+    Group,
     PowerGraph,
     ScaleError,
     census,
@@ -35,6 +38,7 @@ from powercrit import power_graph
 from powercrit.groupspec import parse_group_spec
 from powercrit.power_graph import export_dot, export_json_graph
 from powercrit.report import element_report
+from powercrit.verify import builtin_family
 
 S4 = make_symmetric(4)
 D30 = make_dihedral(15)
@@ -97,16 +101,46 @@ def test_closure_examples():
     assert pg6.closure(frozenset()) == pg6.star_vertices()
 
 
+def pairwise_adjacent(graph, xs) -> bool:
+    return all(graph.adjacent_or_equal(x, y) for x, y in itertools.combinations(xs, 2))
+
+
+def assert_lazy_closures(lazy, subsets, expected) -> None:
+    """A lazy closure equals the expected one on each pairwise-adjacent
+    subset and refuses every other subset."""
+    for xs, want in zip(subsets, expected):
+        if pairwise_adjacent(lazy, xs):
+            assert lazy.closure(xs) == want, (lazy.group.descriptor, sorted(xs))
+        else:
+            with pytest.raises(ScaleError, match="^closure of a set that is not pairwise adjacent needs materialized"):
+                lazy.closure(xs)
+
+
 def test_lazy_closure_matches_materialized():
     rng = random.Random(11)
     for g in (S4, D30, Q8):
         mat = PowerGraph(g)
         lazy = PowerGraph(g, materialize=False)
         subsets = [frozenset(rng.sample(range(g.order), rng.randint(1, 6))) for _ in range(40)]
-        # include a pairwise non-adjacent pair to hit the two-scan fallback
+        # a pair that is not adjacent, and every N[x], some of them
+        # pairwise adjacent sets of more than two elements
         subsets.append(frozenset({S4.parse_element("(1 2)"), S4.parse_element("(3 4)")}) if g is S4 else subsets[0])
-        for xs in subsets:
-            assert lazy.closure(xs) == mat.closure(xs), (g.descriptor, sorted(xs))
+        subsets += [mat.closed_neighborhood(x) for x in range(g.order)]
+        assert_lazy_closures(lazy, subsets, [mat.closure(xs) for xs in subsets])
+        assert any(pairwise_adjacent(mat, xs) and len(xs) > 2 for xs in subsets)
+
+
+def test_lazy_closure_refuses_a_set_that_is_not_pairwise_adjacent():
+    # (1 2) and (1 3) are not adjacent, so their closure lies in no N[x]
+    # of theirs; it is refused before any centralizer is walked
+    for k in (10, 11):
+        sk = make_symmetric(k)
+        pair = {sk.parse_element("(1 2)"), sk.parse_element("(1 3)")}
+        message = f"^closure of a set that is not pairwise adjacent needs materialized mode: order {sk.order} exceeds"
+        started = time.perf_counter()
+        with pytest.raises(ScaleError, match=message):
+            PowerGraph(sk).closure(pair)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_lazy_closure_drops_the_identity():
@@ -152,8 +186,9 @@ def test_closure_matches_brute_force(spec, monkeypatch):
     pg = PowerGraph(g)
     assert [pg.closure(xs) for xs in subsets] == expected
     assert [poset.expand(pg.closure_mask(poset.mask_of(xs))) for xs in subsets] == expected
-    # lazily, a twin class reads its common neighbourhood off the N[x] kept
-    # for its members; with the memo full, N[x] is filtered again instead
+    # lazily, a twin class reads its common neighbourhood off the record
+    # kept for the member queried; with the records full, N[min] is
+    # filtered instead
     twins = brute_twin_classes(brute_rows(g))
     for cap in (4096, 4):
         monkeypatch.setattr(power_graph, "_CACHE_CAP", cap)
@@ -161,7 +196,7 @@ def test_closure_matches_brute_force(spec, monkeypatch):
         for cls in twins:
             assert lazy.element_n_class(max(cls)) == cls
             assert lazy.closure(cls) == brute_closure(g, cls)
-        assert [lazy.closure(xs) for xs in subsets] == expected
+        assert_lazy_closures(lazy, subsets, expected)
         assert len(lazy._neighborhoods) <= cap
 
 
@@ -277,6 +312,38 @@ def test_lazy_element_report_sizes_n_x_without_decoding(monkeypatch):
     assert size == len(graph.closed_neighborhood(x)) == len(decoded) == 1576
 
 
+def test_lazy_element_report_reads_one_kept_n_x(monkeypatch):
+    # the twin class of (1,0) is its 4,110 generators, more than the 4,096
+    # records a graph keeps: the report walks <x> once for N[x] and filters
+    # C(x) once, and the closure walks the two cyclic subgroups of N[x]
+    group = parse_group_spec("M:4111,1,2,1,4110")
+    walks, filters = [], []
+    word_powers, common = Group.word_powers, PowerGraph._common
+    monkeypatch.setattr(Group, "word_powers", lambda g, w: walks.append(w) or word_powers(g, w))
+    monkeypatch.setattr(PowerGraph, "_common", lambda graph, reps, pairs: filters.append(reps) or common(graph, reps, pairs))
+    doc = element_report(group, group.parse_element("(1,0)"))
+    assert (doc["n_class_size"], doc["closure_size"], doc["kind"], doc["is_maximal"]) == (4110, 4111, "plain", True)
+    assert len(walks) <= 3
+    assert len(filters) == 1
+
+
+def test_plain_classes_and_maximality_are_read_without_a_walk():
+    # a twin class holds its least member's generators, so it is plain iff
+    # it has phi(o(rep)) members; an element is maximal iff |N[x]| = o(x)
+    for group in builtin_family(120):
+        graph = PowerGraph(group)
+        for members in graph.twin_partition().classes:
+            rep = min(members)
+            plain = len(members) == euler_phi(group.element_order(rep))
+            assert plain == (members <= group.cyclic_generators(rep)), (group.descriptor, rep)
+        for x in range(group.order):
+            want = is_maximal_element(group, x)
+            assert element_report(group, x)["is_maximal"] == want == centralizer_is_maximal(group, x), (
+                group.descriptor,
+                x,
+            )
+
+
 def test_element_n_class_identity_is_star_set():
     for g in (S4, make_cyclic(6), Q8):
         pg_lazy = PowerGraph(g, materialize=False)
@@ -316,7 +383,7 @@ def assert_lazy_matches_materialized_cycle_types(degree: int) -> None:
         assert lazy.element_n_class(x) == mat.element_n_class(x), parts
         assert classify_element(lazy, x) == classify_element(mat, x), parts
         assert lazy.strict_overgroups(x) == mat.strict_overgroups(x), parts
-        assert is_maximal_element(sk, x) == (not mat.strict_overgroups(x)), parts
+        assert centralizer_is_maximal(sk, x) == (not mat.strict_overgroups(x)), parts
 
 
 def test_lazy_matches_materialized_s7_cycle_types():
@@ -337,7 +404,7 @@ def test_element_report_maximality_matches_the_centralizer_walk(monkeypatch):
         sk = make_symmetric(k)
         for parts in integer_partitions(k):
             x = cycle_type_element(sk, parts)
-            assert element_report(sk, x)["is_maximal"] == is_maximal_element(sk, x), parts
+            assert element_report(sk, x)["is_maximal"] == centralizer_is_maximal(sk, x), parts
     entries = census(200, all_r=True)
     materialized = [make_metacyclic(*astuple(e.params)) for e in entries]
     monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
@@ -346,7 +413,7 @@ def test_element_report_maximality_matches_the_centralizer_walk(monkeypatch):
         for label in ("(1,0)", "(0,1)"):
             x = lazy.parse_element(label)
             want = is_maximal_element(group, x)
-            assert element_report(lazy, x)["is_maximal"] == is_maximal_element(lazy, x) == want, (
+            assert element_report(lazy, x)["is_maximal"] == centralizer_is_maximal(lazy, x) == want, (
                 group.descriptor,
                 label,
             )
