@@ -59,7 +59,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    multiplicative_order,
 )
 from .partitions import (
     PartitionResult,

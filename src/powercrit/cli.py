@@ -32,6 +32,7 @@ from types import SimpleNamespace
 from typing import Iterable
 
 from .errors import GroupSpecError, ResourceLimitError, ScaleError, SettingError
+from .groups import parse_decimal
 from .groupspec import parse_group_spec
 from .power_graph import PowerGraph, export_dot, export_json_graph
 from .report import (
@@ -275,8 +276,9 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 # Each command: (handler, help line, help of its group-spec positional or
 # None when it takes none, options).  Each option maps its attribute name
 # to (default, help).  A bool default makes a flag, an int default takes
-# int(), a tuple default takes one of its members and starts at the
-# first, and a None default takes any text.  A None help hides the option.
+# an ASCII decimal (groups.parse_decimal), a tuple default takes one of
+# its members and starts at the first, and a None default takes any
+# text.  A None help hides the option.
 COMMANDS = {
     "analyze": (
         cmd_analyze,
@@ -389,7 +391,7 @@ def _checked(default, value: str):
     """`value` as an option with `default` takes it, or None when invalid."""
     if type(default) is int:
         try:
-            return int(value)
+            return parse_decimal(value)
         except ValueError:
             return None
     return None if type(default) is tuple and value not in default else value
@@ -409,6 +411,8 @@ def _read_with_argparse(argv: list[str]) -> SimpleNamespace:
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (_, line, spec_help, options) in COMMANDS.items():
         sub = commands.add_parser(command, help=line, description=line, formatter_class=wide)
+        # type=int reads through parse_decimal, keeping "invalid int value"
+        sub.register("type", int, parse_decimal)
         if spec_help:
             sub.add_argument("spec", help=spec_help)
         for name, (default, text) in options.items():

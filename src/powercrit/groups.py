@@ -30,9 +30,11 @@ At or below the materialization threshold every group answers its
 cyclic-subgroup lookups from one :class:`CyclicPoset`, which walks the
 powers of each cyclic subgroup once rather than once per element.  The
 threshold bounds that poset, whose per-element lists grow with the order
-n and whose k comparability masks take k^2 bits for k cyclic subgroups;
-the cyclic, dihedral, quaternion and direct-product constructors refuse
-larger orders.
+n and whose k comparability masks take k^2 bits for k cyclic subgroups.
+:class:`RotationReflectionGroup` and :class:`DirectProductGroup` refuse
+larger orders however they are built, so past it every group is an S_k
+or an M.  A backend needs only ``mul``: a generated subgroup is closed
+under right multiplication, so no query takes an inverse.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ __all__ = [
     "max_materialize",
     "maximal_cyclic_subgroups",
     "metacyclic_violation",
+    "parse_decimal",
 ]
 
 # Bounds the cyclic-subgroup poset: lists over the n elements and one
@@ -86,7 +89,7 @@ MAX_PRIME_POWER_BITS = 1024
 MAX_GENERATED_SUBGROUP = 100_000
 
 
-def _decimal(text: str) -> int:
+def parse_decimal(text: str) -> int:
     """`text` as a signed ASCII decimal between whitespace, the way the spec
     grammar reads integers: int() also takes other digits and underscores."""
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
@@ -100,7 +103,7 @@ def max_materialize() -> int:
     if text is None:
         return DEFAULT_MAX_MATERIALIZE
     try:
-        return _decimal(text)
+        return parse_decimal(text)
     except ValueError:
         raise SettingError(
             f"POWERCRIT_MAX_MATERIALIZE must be an integer, got {text!r}"
@@ -117,7 +120,8 @@ class Group(ABC):
     ``cyclic_generators`` from its :class:`CyclicPoset`, built on first use
     and kept; a larger group walks the powers of the queried element on
     every call, as ``powers`` does in every group.  :meth:`poset` is the
-    one refusal of whole-group work past the threshold.
+    one refusal of whole-group work past the threshold.  ``mul`` is the one
+    abstract method: no query takes an inverse.
     """
 
     identity: int = 0
@@ -134,10 +138,6 @@ class Group(ABC):
     @abstractmethod
     def mul(self, a: int, b: int) -> int:
         """Product of two elements, by index."""
-
-    @abstractmethod
-    def inv(self, a: int) -> int:
-        """Inverse of an element, by index."""
 
     def cyclic_poset(self) -> CyclicPoset:
         """The poset of cyclic subgroups, built on first call and kept."""
@@ -185,19 +185,12 @@ class Group(ABC):
 
     def parse_element(self, text: str) -> int:
         try:
-            a = _decimal(text)
+            a = parse_decimal(text)
         except ValueError:
             raise ValueError(f"element descriptor {text!r} is not an index") from None
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for order {self.order}")
         return a
-
-    def is_cyclic(self) -> bool:
-        """True iff some element generates the whole group, i.e. iff the
-        largest maximal cyclic subgroup is the group.  The permutation and
-        metacyclic backends, the only ones past the threshold, override it."""
-        poset = self.poset("cyclicity test")
-        return len(poset.powers[poset.maxima[0]]) == self.order
 
     # -- word API (backend-internal element encodings) ----------------------
 
@@ -213,17 +206,12 @@ class Group(ABC):
     def word_mul(self, u, v):
         return self.mul(u, v)
 
-    def word_inv(self, u):
-        return self.inv(u)
-
     def word_order(self, w) -> int:
-        # words are indices here; a backend that can exceed the threshold
-        # overrides this, since element_order falls back on it there
+        # words are indices here, and element_order reads the poset: S_k
+        # and M, the only groups built past the threshold, override this
         return self.element_order(w)
 
     def word_pow(self, w, k: int):
-        if k < 0:
-            w, k = self.word_inv(w), -k
         result, base = self.word_of(self.identity), w
         while k:
             if k & 1:
@@ -272,6 +260,10 @@ class RotationReflectionGroup(Group):
 
     def __init__(self, m: int, reflections: bool, twist: int, descriptor: str):
         super().__init__(2 * m if reflections else m, descriptor)
+        if not self.materialized:
+            what = "generalized quaternion" if twist else "dihedral" if reflections else "cyclic"
+            order = f"2^{self.order.bit_length() - 1}" if twist else self.order
+            raise _scale_error(f"{what} group", order, self._threshold)
         self.m, self.twist = m, twist
 
     def mul(self, a: int, b: int) -> int:
@@ -281,10 +273,6 @@ class RotationReflectionGroup(Group):
         if b < m:
             return (a - b) % m + m  # a^i b a^j = a^(i - j) b
         return (a - b + self.twist) % m
-
-    def inv(self, a: int) -> int:
-        m = self.m
-        return -a % m if a < m else (a + self.twist) % m + m
 
 
 # The bench tracer counts products through this name; it goes with the
@@ -297,15 +285,13 @@ class DirectProductGroup(Group):
 
     def __init__(self, g: Group, h: Group):
         super().__init__(g.order * h.order, f"{g.descriptor} x {h.descriptor}")
+        if not self.materialized:
+            raise _scale_error("direct product", self.order, self._threshold)
         self.g, self.h = g, h
 
     def mul(self, a: int, b: int) -> int:
         nh = self.h.order
         return self.g.mul(a // nh, b // nh) * nh + self.h.mul(a % nh, b % nh)
-
-    def inv(self, a: int) -> int:
-        nh = self.h.order
-        return self.g.inv(a // nh) * nh + self.h.inv(a % nh)
 
 
 def _scale_error(what: str, order, cap: int) -> ScaleError:
@@ -315,17 +301,10 @@ def _scale_error(what: str, order, cap: int) -> ScaleError:
     )
 
 
-def _check_scale(order: int, what: str) -> None:
-    cap = max_materialize()
-    if order > cap:
-        raise _scale_error(what, order, cap)
-
-
 def make_cyclic(n: int) -> RotationReflectionGroup:
     """Cyclic group of order n; index i is the i-th power of the generator."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    _check_scale(n, "cyclic group")
     return RotationReflectionGroup(n, False, 0, f"C:{n}")
 
 
@@ -333,7 +312,6 @@ def make_dihedral(n: int) -> RotationReflectionGroup:
     """Dihedral group of order 2n: indices 0..n-1 rotations, n..2n-1 reflections."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    _check_scale(2 * n, "dihedral group")
     return RotationReflectionGroup(n, True, 0, f"D:{n}")
 
 
@@ -356,7 +334,6 @@ def make_generalized_quaternion(n: int) -> RotationReflectionGroup:
 
 def make_direct_product(g: Group, h: Group) -> DirectProductGroup:
     """Direct product, element index (a, b) -> a * |H| + b."""
-    _check_scale(g.order * h.order, "direct product")
     return DirectProductGroup(g, h)
 
 
@@ -414,12 +391,6 @@ class PermutationGroup(Group):
         # (u * v)(i) = u(v(i)): apply v first.
         return tuple(u[x] for x in v)
 
-    def word_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.degree
-        for i, v in enumerate(u):
-            out[v] = i
-        return tuple(out)
-
     def _cycles(self, w: tuple[int, ...]) -> list[list[int]]:
         """The cycles of w, fixed points included, each from its least point."""
         out = []
@@ -450,9 +421,6 @@ class PermutationGroup(Group):
 
     def mul(self, a: int, b: int) -> int:
         return self.index_of(self.word_mul(self.word_of(a), self.word_of(b)))
-
-    def inv(self, a: int) -> int:
-        return self.index_of(self.word_inv(self.word_of(a)))
 
     def powers(self, a: int) -> tuple[int, ...]:
         return tuple(map(self.index_of, self.word_powers(self.word_of(a))))
@@ -541,7 +509,7 @@ class PermutationGroup(Group):
                     raise ValueError(f"unbalanced parenthesis in cycle notation: {text!r}")
                 depth = 0
                 try:
-                    pts = [_decimal(x) for x in current.replace(",", " ").split()]
+                    pts = [parse_decimal(x) for x in current.replace(",", " ").split()]
                 except ValueError:
                     raise ValueError(f"cycle points must be integers: {text!r}") from None
                 if pts:
@@ -631,10 +599,9 @@ class MetacyclicGroup(Group):
         if k > MAX_CENTRALIZER_WALK:
             raise ScaleError(f"storing the {k} powers of r = {r} exceeds the limit {MAX_CENTRALIZER_WALK}")
         self._k = k
-        self._rpow = [pow(r, j, pa) for j in range(k)]
         # conjugation acts as y^-1 x y = x^r, so commuting y^j past x^i
         # twists by r^(-j) = r^(k - j)
-        self._act = [self._rpow[-j % k] for j in range(k)]
+        self._act = [pow(r, -j % k, pa) for j in range(k)]
 
     def index_of_pair(self, i: int, j: int) -> int:
         return (i % self.pa) * self.qb + (j % self.qb)
@@ -643,10 +610,6 @@ class MetacyclicGroup(Group):
         i1, j1 = divmod(u, self.qb)
         i2, j2 = divmod(v, self.qb)
         return ((i1 + self._act[j1 % self._k] * i2) % self.pa) * self.qb + (j1 + j2) % self.qb
-
-    def inv(self, u: int) -> int:
-        i, j = divmod(u, self.qb)
-        return (-self._rpow[j % self._k] * i) % self.pa * self.qb + (self.qb - j) % self.qb
 
     def word_order(self, w: int) -> int:
         t = self.qb // math.gcd(w % self.qb, self.qb)
@@ -657,8 +620,6 @@ class MetacyclicGroup(Group):
     def word_pow(self, w: int, k: int) -> int:
         """(i, j)^k = (i (1 + r^-j + ... + r^(-j(k-1))), jk), the geometric
         sum built by doubling in O(log k) steps."""
-        if k < 0:
-            w, k = self.inv(w), -k
         pa = self.pa
         i, j = divmod(w, self.qb)
         c = self._act[j % self._k]
@@ -721,7 +682,7 @@ class MetacyclicGroup(Group):
             if len(parts) != 2:
                 raise ValueError(f"metacyclic element descriptor must be (i,j), got {text!r}")
             try:
-                i, j = map(_decimal, parts)
+                i, j = map(parse_decimal, parts)
             except ValueError:
                 raise ValueError(f"metacyclic coordinates must be integers, got {text!r}") from None
             if not (0 <= i < self.pa and 0 <= j < self.qb):
@@ -925,15 +886,11 @@ def _generators(pw) -> frozenset:
 
 def exponent_and_pi(group: Group) -> tuple[frozenset[int], bool]:
     """(set of primes dividing the order, every-element-order-is-a-prime-power),
-    from the distinct orders of the poset's cyclic subgroups when
-    materialized, else one scan."""
+    from the distinct orders of the poset's cyclic subgroups; refused past
+    the threshold, where the answer would take a pass over the group."""
+    poset = group.poset("prime-power element order test")
     pi = frozenset(p for p, _ in factorize(group.order))
-    poset = group._materialized_poset()
-    if poset is not None:
-        orders: Iterable[int] = set(map(len, poset.powers))
-    else:
-        orders = (group.word_order(w) for _, w in group.scan())
-    return pi, all(len(factorize(o)) <= 1 for o in orders)
+    return pi, all(len(factorize(o)) <= 1 for o in set(map(len, poset.powers)))
 
 
 def generated_subgroup_words(group: Group, words: Iterable) -> frozenset:

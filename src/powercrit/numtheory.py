@@ -1,11 +1,10 @@
 """Exact elementary number theory on machine integers.
 
-Primality, factorization, Euler's totient, prime-power recognition and
-multiplicative orders modulo m.  is_prime runs Miller-Rabin on the
-thirteen prime bases 2..41, which is exact below psi_13 =
-3317044064679887385961981, the least strong pseudoprime to all of them
-(Sorenson and Webster, Math. Comp. 86, 2017); above it, is_prime is a
-strong probable-prime test.  Everything else here is exact.
+Primality, factorization, Euler's totient and prime-power recognition.
+is_prime runs Miller-Rabin on the thirteen prime bases 2..41, which is
+exact below psi_13 = 3317044064679887385961981, the least strong
+pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017);
+above it, is_prime is a strong probable-prime test; the rest is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "multiplicative_order",
     "primes_upto",
 ]
 
@@ -134,23 +132,6 @@ def as_prime_power(n: int) -> PrimePower | None:
         return None
     p, k = fact[0]
     return PrimePower(p, k)
-
-
-def multiplicative_order(r: int, m: int) -> int:
-    """Least t >= 1 with r**t == 1 (mod m); requires gcd(r, m) == 1.
-
-    Computed by starting from the totient of m and dividing out prime
-    factors while the power stays 1, so it is fast even for large m.
-    """
-    if m < 2:
-        raise ValueError(f"multiplicative_order requires modulus >= 2, got {m}")
-    if math.gcd(r, m) != 1:
-        raise ValueError(f"{r} is not coprime to {m}; multiplicative order undefined")
-    t = euler_phi(m)
-    for p, _ in factorize(t):
-        while t % p == 0 and pow(r, t // p, m) == 1:
-            t //= p
-    return t
 
 
 def primes_upto(n: int) -> list[int]:

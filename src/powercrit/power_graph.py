@@ -23,7 +23,9 @@ Two operating modes:
   generators of x's cyclic subgroup.  The graph keeps one record per
   element x queried: <x>, N[x] as (word, order) pairs and, once found,
   x's twin class, whose closure reads its common neighbourhood N[x] off
-  the record.  A lazy closure needs a pairwise-adjacent set.
+  the record.  A lazy closure needs a pairwise-adjacent set.  Star
+  vertices are read off a materialized group's poset and, past the
+  threshold, off the group's class, with no scan.
 
 Adjacent elements commute, so N[x] and the cyclic overgroups of x lie
 inside the centralizer C(x), and a word separating x from a power c of
@@ -244,26 +246,17 @@ class PowerGraph:
     # -- star vertices -----------------------------------------------------------
 
     def star_vertices(self) -> frozenset[int]:
-        """Elements whose closed neighbourhood is the whole group."""
-        poset = self._poset
+        """Elements whose closed neighbourhood is the whole group: the
+        generators of the full-mask nodes of the graph's or the group's
+        poset.  Past the threshold only S_k and M are built.  Only cyclic
+        and generalized quaternion groups have star vertices beyond 1, and
+        of S_k and M only S_1 and S_2 are either: cyclic of prime-power
+        order, where every element is one."""
+        g = self.group
+        poset = self._poset or (g.cyclic_poset() if g.materialized else None)
         if poset is not None:
             return poset.expand(sum(1 << s for s, c in enumerate(poset.comp) if c == poset.full))
-        # Lazily, a classification shortcut: the star set exceeds {1} only
-        # in cyclic groups (all of G for prime-power order, else 1 plus the
-        # generators) and in generalized quaternion 2-groups (1 plus the
-        # unique involution).
-        g = self.group
-        if g.is_cyclic():
-            if as_prime_power(g.order) is not None:
-                return frozenset(range(g.order))
-            gen = next(rank for rank, w in g.scan() if g.word_order(w) == g.order)
-            return frozenset({g.identity}) | g.cyclic_generators(gen)
-        n = g.order
-        if n >= 8 and n & (n - 1) == 0:
-            involutions = [rank for rank, w in g.scan() if g.word_order(w) == 2]
-            if len(involutions) == 1:
-                return frozenset({g.identity, involutions[0]})
-        return frozenset({g.identity})
+        return frozenset(range(g.order)) if g.is_cyclic() else frozenset({g.identity})
 
     # -- twin partitions -----------------------------------------------------------
 

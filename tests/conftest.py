@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from typing import Iterable
@@ -22,8 +23,8 @@ from powercrit import CyclicSubgroup, Group, PowerGraph
 from powercrit.cli import cmd_analyze, cmd_census, cmd_export, cmd_verify
 from powercrit.criticality import NClassRecord, _compound_params, plain_critical_by_overgroups
 from powercrit.errors import InternalConsistencyError
-from powercrit.groups import CyclicWord, generated_subgroup_words
-from powercrit.numtheory import as_prime_power, is_prime, multiplicative_order
+from powercrit.groups import CyclicWord, generated_subgroup_words, parse_decimal
+from powercrit.numtheory import as_prime_power, euler_phi, factorize, is_prime
 from powercrit.report import analyze_group
 
 
@@ -211,7 +212,7 @@ def brute_try_structure(group: Group, p: int, a: int, q: int, b: int):
         return None
     kernel = group.members(kernel_gen)
     for t in range(group.order):
-        if group.mul(group.mul(group.inv(t), kernel_gen), t) not in kernel:
+        if group.mul(group.mul(inverse(group, t), kernel_gen), t) not in kernel:
             return None
     comp_gen = next((g for g in range(group.order) if group.element_order(g) == qb), None)
     if comp_gen is None:
@@ -220,7 +221,7 @@ def brute_try_structure(group: Group, p: int, a: int, q: int, b: int):
     for h in group.members(comp_gen):
         if h == identity:
             continue
-        hi = group.inv(h)
+        hi = inverse(group, h)
         for k in kernel:
             if k != identity and group.mul(group.mul(hi, k), h) == k:
                 return None
@@ -437,6 +438,11 @@ def power(group: Group, a: int, k: int) -> int:
     return group.index_of(group.word_pow(group.word_of(a), k))
 
 
+def inverse(group: Group, a: int) -> int:
+    """a^-1 as the power a^(o(a) - 1): the package itself takes no inverse."""
+    return power(group, a, group.element_order(a) - 1)
+
+
 def spot_check_axioms(group: Group, triples: int = 1000, seed: int = 0) -> None:
     """Identity and inverse laws on all elements; associativity sampled.
 
@@ -447,7 +453,7 @@ def spot_check_axioms(group: Group, triples: int = 1000, seed: int = 0) -> None:
     e = group.identity
     for g in range(n):
         assert group.mul(e, g) == g == group.mul(g, e), f"identity law fails at {g}"
-        gi = group.inv(g)
+        gi = inverse(group, g)
         assert group.mul(g, gi) == e == group.mul(gi, g), f"inverse law fails at {g}"
     if n <= 64:
         triple_iter: Iterable[tuple[int, int, int]] = itertools.product(range(n), repeat=3)
@@ -516,6 +522,23 @@ def noncyclic_overgroup_witnesses(graph: PowerGraph, x: int) -> tuple[int, int]:
             return y, z
         y = min(g.index_of(w) for w in gen_words)
     raise InternalConsistencyError("overgroup chain failed to terminate")
+
+
+def multiplicative_order(r: int, m: int) -> int:
+    """Least t >= 1 with r**t == 1 (mod m); requires gcd(r, m) == 1.
+
+    Computed by starting from the totient of m and dividing out prime
+    factors while the power stays 1, so it is fast even for large m.
+    """
+    if m < 2:
+        raise ValueError(f"multiplicative_order requires modulus >= 2, got {m}")
+    if math.gcd(r, m) != 1:
+        raise ValueError(f"{r} is not coprime to {m}; multiplicative order undefined")
+    t = euler_phi(m)
+    for p, _ in factorize(t):
+        while t % p == 0 and pow(r, t // p, m) == 1:
+            t //= p
+    return t
 
 
 def exists_for(p: int, a: int, q: int, b: int) -> int | None:
@@ -593,7 +616,7 @@ def assert_products_match_sampled(group: Group, oracle, generators, pairs: int =
     for g in generators:
         assert [group.mul(x, g) for x in range(n)] == oracle(ids, np.int64(g)).tolist(), f"x * {g}"
         assert [group.mul(g, x) for x in range(n)] == oracle(np.int64(g), ids).tolist(), f"{g} * x"
-    inverses = np.array([group.inv(x) for x in range(n)], dtype=np.int64)
+    inverses = np.array([inverse(group, x) for x in range(n)], dtype=np.int64)
     assert np.all(oracle(ids, inverses) == 0) and np.all(oracle(inverses, ids) == 0)
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, n, size=(2, pairs))
@@ -713,4 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", choices=("power", "enhanced"), default="power")
     p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     p.set_defaults(func=cmd_export)
+    # int options read ASCII decimals, as the package's command line does
+    for p in sub.choices.values():
+        p.register("type", int, parse_decimal)
     return parser

@@ -303,6 +303,39 @@ def test_exit_code_usage_error_is_worded(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--max-order", "1_0"],
+        ["verify", "--max-order=\u0663"],
+        ["census", "--max-order", "\u0663"],
+        ["census", "--max-order=1_0"],
+        ["census", "--max-order", "1" * 4400],
+        ["census", "--verify-up-to", "\u0661\u0660"],
+        ["census", "--verify-up-to=1_0"],
+        ["analyze", "D:3", "--workers", "1_0"],
+        ["analyze", "D:3", "--workers=\uff13"],
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, argv):
+    # int() also reads other scripts' digits and underscores (`1_0` ran
+    # verify to order 10); an option reads the spec grammar's decimals and
+    # keeps argparse's wording for the rest
+    flag, _, value = argv[-1].partition("=") if "=" in argv[-1] else (argv[-2], "", argv[-1])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n"), err
+
+
+def test_integer_options_take_whitespace_and_a_sign(capsys):
+    want = run(capsys, "census", "--max-order", "30", "--verify-up-to", "12")
+    assert want[0] == 0
+    assert run(capsys, "census", "--max-order", " +30\n", "--verify-up-to=+12 ") == want
+    assert run(capsys, "analyze", "D:3", "--workers", " -2 ", "--json", "--stable") == run(
+        capsys, "analyze", "D:3", "--json", "--stable"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         lambda d: ["export", "C:4", "--output", str(d / "missing" / "x")],
         lambda d: ["analyze", "D:3", "--dot", str(d), "--json", "--stable"],
         # an empty path is a path that cannot be written, not a missing one

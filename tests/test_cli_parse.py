@@ -1,8 +1,9 @@
 """``cli.parse_args`` against the argparse parser it replaced.
 
-``conftest.build_parser`` is that parser, unchanged.  On every command
-line both must parse to the same attributes, or both must exit with the
-same code: 2 for a usage error, 0 for help.
+``conftest.build_parser`` is that parser, unchanged but for its int
+options, which read ASCII decimals as the command line does.  On every
+command line both must parse to the same attributes, or both must exit
+with the same code: 2 for a usage error, 0 for help.
 """
 
 import contextlib

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import brute_try_structure, exists_for
+from conftest import brute_try_structure, exists_for, multiplicative_order
 from powercrit import (
     MetacyclicParams,
     PowerGraph,
@@ -13,7 +13,6 @@ from powercrit import (
     make_cyclic,
     make_metacyclic,
     make_symmetric,
-    multiplicative_order,
     recognize_critical_structure,
     validate,
 )

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -22,6 +23,7 @@ from conftest import (
     int64_quaternion,
     int64_table,
     integer_partitions,
+    inverse,
     is_power_of,
     power,
     spot_check_axioms,
@@ -44,6 +46,7 @@ from powercrit import (
     maximal_cyclic_subgroups,
     parse_group_spec,
 )
+from powercrit.groups import DirectProductGroup, RotationReflectionGroup
 from powercrit.numtheory import as_prime_power, is_prime
 from powercrit.verify import builtin_family
 
@@ -162,6 +165,33 @@ def test_constructor_bounds():
         make_cyclic(5000)
 
 
+def test_index_addressed_classes_refuse_past_the_threshold(monkeypatch):
+    # the refusal lives in the classes, so a group built without its make_*
+    # function is refused too, with the same text: past the threshold an
+    # index-addressed group has no poset, and its element_order and
+    # word_order would call each other without end
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "10")
+    c5 = make_cyclic(5)
+    cases = [
+        (lambda: RotationReflectionGroup(20, True, 0, "D:20"), lambda: make_dihedral(20)),
+        (lambda: RotationReflectionGroup(8, True, 4, "Q:4"), lambda: make_generalized_quaternion(4)),
+        (lambda: RotationReflectionGroup(11, False, 0, "C:11"), lambda: make_cyclic(11)),
+        (lambda: DirectProductGroup(c5, c5), lambda: make_direct_product(c5, c5)),
+    ]
+    for build, make in cases:
+        started = time.perf_counter()
+        with pytest.raises(ScaleError, match="exceeds the materialization threshold 10 ") as built:
+            build()
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(ScaleError) as made:
+            make()
+        assert str(built.value) == str(made.value)
+    assert str(built.value) == (
+        "direct product of order 25 exceeds the materialization threshold 10 "
+        "(raise POWERCRIT_MAX_MATERIALIZE to override)"
+    )
+
+
 # -- metacyclic backend --------------------------------------------------------
 
 
@@ -172,7 +202,7 @@ def test_metacyclic_builder_examples():
     assert g.element_order(x) == 25
     assert g.element_order(y) == 4
     # conjugation x^y = x^7
-    conj = g.mul(g.mul(g.inv(y), x), y)
+    conj = g.mul(g.mul(inverse(g, y), x), y)
     assert conj == power(g, x, 7)
     # at a = 3 the automorphism x -> x^7 has order 20, not 4; the order-4
     # action is generated by 7^5 = 57 (mod 125)
@@ -223,7 +253,7 @@ def test_metacyclic_word_pow_matches_binary_exponentiation():
             assert g.word_order(x) == o, (g.descriptor, g.element_label(x))
             for k in range(o):
                 assert g.word_pow(x, k) == Group.word_pow(g, x, k), (g.descriptor, x, k)
-            assert g.word_pow(x, -1) == g.inv(x)
+            assert g.mul(g.word_pow(x, o - 1), x) == g.identity, (g.descriptor, x)
         checked += 1
     assert checked > 100
 
@@ -308,7 +338,6 @@ def test_permutation_word_pow_matches_repeated_mul():
     for k in range(12):
         assert s5.word_pow(w, k) == acc
         acc = s5.word_mul(acc, w)
-    assert s5.word_pow(w, -1) == s5.word_inv(w)
 
 
 def test_cycle_notation_parse_errors():
@@ -417,8 +446,7 @@ def test_exponent_and_pi():
 
 def test_exponent_and_pi_poset_read_matches_element_scan(monkeypatch):
     # the poset read of each materialized group against orders from
-    # repeated multiplication, and against the lazy path's element scan
-    # on a copy built above the threshold where the backend allows one
+    # repeated multiplication; a copy built above the threshold is refused
     family = builtin_family(300)
     monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
     for group in family:
@@ -428,8 +456,15 @@ def test_exponent_and_pi_poset_read_matches_element_scan(monkeypatch):
         assert eppo == brute, group.descriptor
         if group.descriptor[0] in "MS":
             lazy = parse_group_spec(group.descriptor)
-            assert lazy.order > max_materialize()  # so the lazy path runs
-            assert exponent_and_pi(lazy) == (pi, eppo), group.descriptor
+            message = f"^prime-power element order test needs materialized mode: order {lazy.order} exceeds threshold 0$"
+            with pytest.raises(ScaleError, match=message):
+                exponent_and_pi(lazy)
+
+
+def test_exponent_and_pi_refused_past_the_threshold():
+    message = "^prime-power element order test needs materialized mode: order 40320 exceeds threshold 4096$"
+    with pytest.raises(ScaleError, match=message):
+        exponent_and_pi(make_symmetric(8))
 
 
 def test_exponent_and_pi_factorizes_each_node_order_once(monkeypatch):
@@ -448,12 +483,17 @@ def test_exponent_and_pi_factorizes_each_node_order_once(monkeypatch):
 
 
 def test_is_cyclic_poset_read_matches_element_scan():
-    # materialized C, D, Q and products read the largest maximal cyclic
-    # subgroup; S and M keep their own answers; all against the orders
-    # from repeated multiplication
-    for group in builtin_family(300):
-        scan = any(len(brute_powers(group, x)) == group.order for x in range(group.order))
-        assert group.is_cyclic() == scan, group.descriptor
+    # S_k and M, the only groups built past the threshold, answer without
+    # a poset; small materialized ones check that answer against the
+    # largest maximal cyclic subgroup and the orders from repeated
+    # multiplication
+    groups = [make_symmetric(1)] + [g for g in builtin_family(300) if g.descriptor[0] in "MS"]
+    assert len(groups) > 20
+    for group in groups:
+        poset = group.cyclic_poset()
+        cyclic = len(poset.powers[poset.maxima[0]]) == group.order
+        assert cyclic == any(len(brute_powers(group, x)) == group.order for x in range(group.order))
+        assert group.is_cyclic() == cyclic, group.descriptor
 
 
 SMALL_PRODUCTS = [

@@ -6,8 +6,8 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import cycle_type_label, integer_partitions, isomorphism_invariant
-from powercrit import census, make_metacyclic, multiplicative_order
+from conftest import cycle_type_label, integer_partitions, isomorphism_invariant, multiplicative_order
+from powercrit import census, make_metacyclic
 from powercrit.groupspec import parse_group_spec
 from powercrit.report import element_report
 

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powercrit import (
-    as_prime_power,
-    euler_phi,
-    factorize,
-    is_prime,
-    multiplicative_order,
-)
+from conftest import multiplicative_order
+from powercrit import as_prime_power, euler_phi, factorize, is_prime
 from powercrit.numtheory import primes_upto
 
 

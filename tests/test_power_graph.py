@@ -219,6 +219,18 @@ def test_star_vertices_families():
     assert PowerGraph(S4).star_vertices() == frozenset({S4.identity})
 
 
+@pytest.mark.parametrize("spec", ["S:1", "S:2", "S:3", "M:5,2,2,2,7"])
+def test_lazy_star_vertices_match_the_materialized_ones(monkeypatch, spec):
+    # past the threshold the star set is read off the group's class, with
+    # no poset and no scan; the materialized graph reads it off the poset
+    want = PowerGraph(parse_group_spec(spec)).star_vertices()
+    monkeypatch.setenv("POWERCRIT_MAX_MATERIALIZE", "0")
+    lazy = parse_group_spec(spec)
+    assert not lazy.materialized
+    assert PowerGraph(lazy).star_vertices() == want
+    assert lazy._poset is None
+
+
 # -- twin and diamond partitions ----------------------------------------------------
 
 
